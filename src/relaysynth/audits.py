@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, FrozenSet, Sequence, Set, Tuple
 
-from .connectivity import fractional_feasible, r_components
+from .connectivity import UnionFind, fractional_feasible, r_components
 from .decomposition import DecompositionError, rank_certificate
 from .instances import Instance, MetricSpace, Point, make_instance
 from .local_replacement import (
@@ -166,21 +166,12 @@ def audit_replacement_bound(trials: int = 200, seed: int = 1) -> AuditOutcome:
         hyper = random_connected_hypergraph(rng, n, rng.randint(0, 12))
         pair_edges = [e for e in hyper.edges if e.is_pair]
         # Kruskal spanning tree over the pair edges (always present).
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        tree = []
-        for e in sorted(pair_edges, key=lambda e: (e.cost, sorted(e.nodes))):
-            u, v = sorted(e.nodes)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-                tree.append(e)
+        joined = UnionFind(range(n))
+        tree = [
+            e
+            for e in sorted(pair_edges, key=lambda e: (e.cost, sorted(e.nodes)))
+            if joined.union(*e.nodes)
+        ]
         if len(tree) != n - 1:
             continue
         result = local_replacement(hyper, tree)

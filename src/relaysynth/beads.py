@@ -13,17 +13,19 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from .connectivity import _crossing_pairs, element_maxflow, tau_star
-from .instances import (
-    EPS_GEO,
-    Instance,
-    Point,
-    SolutionGraph,
-    bead_count,
-    build_unit_disk_graph,
+# element_maxflow is re-exported: perfbench's self-test looks it up here.
+from .connectivity import (
+    CopyTable,
+    copy_table,
+    element_maxflow,
+    first_deficiency,
+    greedy_patch,
+    reverse_delete,
+    tau_star,
 )
+from .instances import EPS_GEO, Instance, Point, SolutionGraph, build_unit_disk_graph
 
 
 class BeadError(ValueError):
@@ -54,25 +56,22 @@ class BeadGraph:
         u, v = min(u, v), max(u, v)
         return tuple(e for e in self.edges if (e.u, e.v) == (u, v))
 
-    def zero_cost_edges(self) -> Tuple[BeadEdge, ...]:
-        return tuple(e for e in self.edges if e.cost == 0)
+
+def selection_of(table: CopyTable, counts) -> Tuple[BeadEdge, ...]:
+    """The free copies plus the first ``counts[p]`` bought copies of each pair."""
+    chosen = [BeadEdge(u, v, 0, 0) for (u, v) in table.base_caps]
+    for (u, v), cnt in counts.items():
+        free = table.base_caps.get((u, v), 0)
+        cost = table.pair_cost[(u, v)]
+        chosen.extend(BeadEdge(u, v, free + c, cost) for c in range(cnt))
+    return tuple(sorted(chosen))
 
 
 def build_bead_graph(instance: Instance, k: int) -> BeadGraph:
     if k < 1:
         raise BeadError("k must be at least 1")
-    edges: List[BeadEdge] = []
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            dhat = bead_count(instance.terminal_distance(i, j))
-            if dhat > 0:
-                for copy in range(k):
-                    edges.append(BeadEdge(i, j, copy, dhat))
-            else:
-                edges.append(BeadEdge(i, j, 0, 0))
-                for copy in range(1, k):
-                    edges.append(BeadEdge(i, j, copy, 1))
-    return BeadGraph(instance.n, k, tuple(edges))
+    table = copy_table(instance, k)
+    return BeadGraph(instance.n, k, selection_of(table, table.max_extra))
 
 
 @dataclass(frozen=True)
@@ -153,28 +152,6 @@ class _SearchStop(Exception):
     pass
 
 
-def _selected_caps(base: Dict[Tuple[int, int], int], counts) -> Dict[Tuple[int, int], int]:
-    caps = dict(base)
-    for pair, cnt in counts.items():
-        caps[pair] = caps.get(pair, 0) + cnt
-    return caps
-
-
-def _first_deficiency(instance: Instance, caps, demands):
-    nodes = range(instance.n)
-    for (i, j, r) in demands:
-        flow, _, _, _ = element_maxflow(
-            caps, instance.unstable, i, j, limit=r, extra_nodes=nodes
-        )
-        if flow >= r:
-            continue
-        flow, biset, cut_nodes, cut_edges = element_maxflow(
-            caps, instance.unstable, i, j, extra_nodes=nodes
-        )
-        return (i, j, r, flow, biset)
-    return None
-
-
 def tau_integral(
     instance: Instance,
     k: Optional[int] = None,
@@ -186,7 +163,7 @@ def tau_integral(
     """Minimum-cost edge multiset meeting every demand, by branch and bound.
 
     Branching adds one copy across the Menger cut of the first deficient
-    demand; tau_star bounds from below and a reverse-deleted full selection
+    demand; tau_star bounds from below and a reverse-deleted greedy patch
     seeds the incumbent.  On hitting the node or time cap the best incumbent
     is returned flagged non-certified.
     """
@@ -194,87 +171,22 @@ def tau_integral(
         raise SizeCapError("terminal count %d exceeds cap %d" % (instance.n, r_cap))
     if k is None:
         k = max(1, instance.max_demand)
-    bead = build_bead_graph(instance, k)
-    demands = instance.demand_pairs()
-    zero_edges = bead.zero_cost_edges()
-    base_caps: Dict[Tuple[int, int], int] = {}
-    for e in zero_edges:
-        base_caps[(e.u, e.v)] = base_caps.get((e.u, e.v), 0) + 1
+    if k < 1:
+        raise BeadError("k must be at least 1")
+    table = copy_table(instance, k)
 
-    if not demands:
-        return BeadSolveResult(0, zero_edges, True, Fraction(0), 0)
+    if not instance.demands:
+        return BeadSolveResult(0, selection_of(table, {}), True, Fraction(0), 0)
 
-    pair_cost: Dict[Tuple[int, int], int] = {}
-    max_extra: Dict[Tuple[int, int], int] = {}
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            dhat = bead_count(instance.terminal_distance(i, j))
-            if dhat > 0:
-                pair_cost[(i, j)] = dhat
-                max_extra[(i, j)] = k
-            elif k > 1:
-                pair_cost[(i, j)] = 1
-                max_extra[(i, j)] = k - 1
-
-    all_pairs = sorted(pair_cost)
-
-    def selection_of(counts) -> Tuple[BeadEdge, ...]:
-        chosen = list(zero_edges)
-        for (u, v), cnt in sorted(counts.items()):
-            copies = [e for e in bead.pair_edges(u, v) if e.cost > 0]
-            chosen.extend(copies[:cnt])
-        return tuple(sorted(chosen))
-
-    def cost_of(counts) -> int:
-        return sum(pair_cost[p] * c for p, c in counts.items())
-
-    def reverse_delete(counts) -> Dict[Tuple[int, int], int]:
-        counts = dict(counts)
-        order = sorted(
-            [p for p in counts for _ in range(counts[p])],
-            key=lambda p: (-pair_cost[p], p),
-        )
-        for p in order:
-            if counts.get(p, 0) == 0:
-                continue
-            counts[p] -= 1
-            caps = _selected_caps(base_caps, counts)
-            if _first_deficiency(instance, caps, demands) is None:
-                if counts[p] == 0:
-                    del counts[p]
-            else:
-                counts[p] += 1
-        return counts
-
-    full = {p: max_extra[p] for p in all_pairs}
-    if _first_deficiency(instance, _selected_caps(base_caps, full), demands) is not None:
+    if first_deficiency(instance, table.caps(table.max_extra)) is not None:
         raise BeadError("even the full bead graph misses a demand")
 
     ts = tau_star(instance, r_cap=max(r_cap, instance.n))
     lower = ts.value
     lb_int = math.ceil(lower)
 
-    def greedy_cover() -> Dict[Tuple[int, int], int]:
-        counts: Dict[Tuple[int, int], int] = {}
-        while True:
-            defic = _first_deficiency(
-                instance, _selected_caps(base_caps, counts), demands
-            )
-            if defic is None:
-                return counts
-            biset = defic[4]
-            crossing = _crossing_pairs(all_pairs, biset, set())
-            candidates = [
-                p for p in crossing if counts.get(p, 0) < max_extra.get(p, 0)
-            ]
-            if not candidates:
-                raise BeadError("deficient cut with no purchasable copy")
-            p = min(candidates, key=lambda p: (pair_cost[p], p))
-            counts[p] = counts.get(p, 0) + 1
-
-    incumbent = reverse_delete(greedy_cover())
-    best_counts = incumbent
-    best_cost = cost_of(incumbent)
+    best_counts = reverse_delete(instance, table, greedy_patch(instance, table, {}))
+    best_cost = table.cost(best_counts)
     nodes_seen = [0]
     deadline = time.monotonic() + time_cap if time_cap else None
 
@@ -289,18 +201,13 @@ def tau_integral(
         nonlocal best_counts, best_cost
         if cost >= best_cost:
             return
-        caps = _selected_caps(base_caps, counts)
-        defic = _first_deficiency(instance, caps, demands)
+        defic = first_deficiency(instance, table.caps(counts))
         if defic is None:
             best_counts = dict(counts)
             best_cost = cost
             return
-        _, _, _, _, biset = defic
-        crossing = _crossing_pairs(all_pairs, biset, set())
-        candidates = [p for p in crossing if counts.get(p, 0) < max_extra.get(p, 0)]
-        candidates.sort(key=lambda p: (pair_cost[p], p))
-        for p in candidates:
-            added = cost + pair_cost[p]
+        for p in table.candidates(counts, defic.witness):
+            added = cost + table.pair_cost[p]
             if added >= best_cost:
                 break
             counts[p] = counts.get(p, 0) + 1
@@ -319,10 +226,10 @@ def tau_integral(
         except _SearchStop:
             certified = False
 
-    best_counts = reverse_delete(best_counts)
-    best_cost = cost_of(best_counts)
+    best_counts = reverse_delete(instance, table, best_counts)
+    best_cost = table.cost(best_counts)
     if best_cost <= lb_int:
         certified = True
     return BeadSolveResult(
-        best_cost, selection_of(best_counts), certified, lower, nodes_seen[0]
+        best_cost, selection_of(table, best_counts), certified, lower, nodes_seen[0]
     )

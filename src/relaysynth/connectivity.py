@@ -4,15 +4,20 @@ Connectivity between terminals counts paths that are disjoint in edges and in
 Q-nodes (Q = unstable terminals plus all Steiner points), computed as max-flow
 on a node-split graph.  The same flow engine powers Menger witnesses, the
 separation oracle of the cut relaxation, and its exact optimum tau_star.
+
+This module is the one cut engine for {0,1,2} demands.  It owns the bead
+copy table of every terminal pair, the first deficient demand with its
+witness biset, the pairs crossing a biset, the greedy patch and reverse
+delete over copy counts, and the separation generator of the cut relaxation,
+whose witnesses have at most one unstable node on the boundary.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .instances import Instance, SolutionGraph, bead_count
 from .simplex import CoverRow, solve_min_cover
@@ -30,6 +35,32 @@ class NonTreeComponentError(ConnectivityError):
 
 # ---------------------------------------------------------------------------
 # Small graph helpers
+
+
+class UnionFind:
+    """Disjoint sets of comparable items; a class is named by its smallest member."""
+
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False when they already coincide."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
 
 
 def _edge_pairs(edges) -> List[Tuple[int, int]]:
@@ -82,9 +113,6 @@ class Biset:
     @property
     def boundary(self) -> frozenset:
         return self.outer - self.inner
-
-    def complement(self, nodes) -> frozenset:
-        return frozenset(nodes) - self.outer
 
     def to_json(self):
         return {"inner": sorted(self.inner), "outer": sorted(self.outer)}
@@ -249,12 +277,9 @@ def q_connectivity_cut(caps: Mapping[Tuple[int, int], object], q, u, v, *, nodes
 # Feasibility and pruning
 
 
-def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandViolation]:
-    """Empty list iff every demand is met with B-and-Steiner disjoint paths."""
-    q = solution.q_nodes()
-    caps = {e: 1 for e in solution.edges}
-    nodes = range(solution.n_nodes)
-    violations = []
+def _deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolation]:
+    """Unmet demands in order, each with its Menger cut; a flow capped at the
+    demand screens every pair before the full flow computes the cut."""
     for (i, j, r) in instance.demand_pairs():
         flow, _, _, _ = element_maxflow(caps, q, i, j, limit=r, extra_nodes=nodes)
         if flow >= r:
@@ -262,10 +287,15 @@ def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandV
         full, biset, cut_nodes, cut_edges = element_maxflow(
             caps, q, i, j, extra_nodes=nodes
         )
-        violations.append(
-            DemandViolation((i, j), r, full, biset, cut_nodes, cut_edges)
-        )
-    return violations
+        yield DemandViolation((i, j), r, full, biset, cut_nodes, cut_edges)
+
+
+def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandViolation]:
+    """Empty list iff every demand is met with B-and-Steiner disjoint paths."""
+    caps = {e: 1 for e in solution.edges}
+    return list(
+        _deficiencies(instance, caps, solution.q_nodes(), range(solution.n_nodes))
+    )
 
 
 def is_feasible(instance: Instance, solution: SolutionGraph) -> bool:
@@ -289,6 +319,118 @@ def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
         if is_feasible(instance, candidate):
             graph = candidate
     return graph
+
+
+# ---------------------------------------------------------------------------
+# Bead copies and the integral cut engine
+
+
+def bead_costs(instance: Instance) -> Dict[Tuple[int, int], int]:
+    """Bead count of every terminal pair i < j, in lexicographic pair order."""
+    n = instance.n
+    return {
+        (i, j): bead_count(instance.terminal_distance(i, j))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+
+
+@dataclass(frozen=True)
+class CopyTable:
+    """The k parallel bead copies of every terminal pair, as counts per pair.
+
+    A pair within unit distance has one free copy (``base_caps``).  Every
+    other copy costs ``pair_cost`` beads (one for the extra copies of a free
+    pair), and at most ``max_extra`` of them can be bought.  A purchase is a
+    count map {pair: copies bought}.
+    """
+
+    pair_cost: Dict[Tuple[int, int], int]
+    max_extra: Dict[Tuple[int, int], int]
+    base_caps: Dict[Tuple[int, int], int]
+
+    def caps(self, counts) -> Dict[Tuple[int, int], int]:
+        caps = dict(self.base_caps)
+        for pair, cnt in counts.items():
+            caps[pair] = caps.get(pair, 0) + cnt
+        return caps
+
+    def cost(self, counts) -> int:
+        return sum(self.pair_cost[p] * c for p, c in counts.items())
+
+    def candidates(self, counts, cut: Biset) -> List[Tuple[int, int]]:
+        """Pairs crossing the cut with a copy left to buy, cheapest first."""
+        found = [
+            p
+            for p in crossing_pairs(self.pair_cost, cut)
+            if counts.get(p, 0) < self.max_extra[p]
+        ]
+        return sorted(found, key=lambda p: (self.pair_cost[p], p))
+
+
+def copy_table(instance: Instance, k: int) -> CopyTable:
+    pair_cost: Dict[Tuple[int, int], int] = {}
+    max_extra: Dict[Tuple[int, int], int] = {}
+    base_caps: Dict[Tuple[int, int], int] = {}
+    for p, dhat in bead_costs(instance).items():
+        if dhat > 0:
+            pair_cost[p] = dhat
+            max_extra[p] = k
+            continue
+        base_caps[p] = 1
+        if k > 1:
+            pair_cost[p] = 1
+            max_extra[p] = k - 1
+    return CopyTable(pair_cost, max_extra, base_caps)
+
+
+def crossing_pairs(pairs, cut: Biset) -> List[Tuple[int, int]]:
+    """Pairs with one end inside the cut and no end on its boundary."""
+    inner = cut.inner
+    blocked = cut.boundary
+    crossing = []
+    for (a, b) in pairs:
+        if a in blocked or b in blocked:
+            continue
+        if (a in inner) != (b in inner):
+            crossing.append((a, b))
+    return crossing
+
+
+def first_deficiency(instance: Instance, caps) -> Optional[DemandViolation]:
+    """First demand the terminal multigraph ``caps`` misses, with unstable
+    terminals as the only node-capacitated elements; None when all are met."""
+    return next(_deficiencies(instance, caps, instance.unstable, range(instance.n)), None)
+
+
+def greedy_patch(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[int, int], int]:
+    """Buy the cheapest copy across the first deficient cut until none is left."""
+    counts = dict(counts)
+    while True:
+        defic = first_deficiency(instance, table.caps(counts))
+        if defic is None:
+            return counts
+        candidates = table.candidates(counts, defic.witness)
+        if not candidates:
+            raise ConnectivityError("deficient cut with no purchasable copy")
+        p = candidates[0]
+        counts[p] = counts.get(p, 0) + 1
+
+
+def reverse_delete(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[int, int], int]:
+    """Drop bought copies, costliest first, while every demand stays met."""
+    counts = dict(counts)
+    order = sorted(
+        (p for p in counts for _ in range(counts[p])),
+        key=lambda p: (-table.pair_cost[p], p),
+    )
+    for p in order:
+        counts[p] -= 1
+        if first_deficiency(instance, table.caps(counts)) is not None:
+            counts[p] += 1
+        elif counts[p] == 0:
+            del counts[p]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -512,23 +654,22 @@ def half_integral_witness(
     return FractionalBeadSolution(tuple(entries))
 
 
-def fractional_feasible(
-    instance: Instance, fractional: FractionalBeadSolution
-) -> Optional[DemandViolation]:
-    """Separation over the cut relaxation; None when every cut is satisfied.
+def violated_cuts(instance: Instance, caps) -> Iterator[DemandViolation]:
+    """Violated constraints of the cut relaxation over pair capacities ``caps``.
 
-    For demands up to 2, a boundary of size at most one suffices: check every
-    demand against the plain min cut, and for each unstable terminal w the min
-    cut of the graph without w against the demand minus one.
+    For demands up to 2, a witness biset whose boundary holds at most one
+    unstable terminal suffices.  Per demand, the plain min cut is checked
+    against the demand; then, for r = 2, the min cut of the graph without each
+    unstable terminal w against r - 1, yielded with w as the boundary.  A cut
+    with boundary b thus needs ``required - len(b)`` crossing capacity.
     """
-    caps = fractional.pair_capacities()
     nodes = range(instance.n)
     for (i, j, r) in instance.demand_pairs():
         flow, biset, cut_nodes, cut_edges = element_maxflow(
             caps, (), i, j, extra_nodes=nodes
         )
         if flow < r:
-            return DemandViolation((i, j), r, flow, biset, cut_nodes, cut_edges)
+            yield DemandViolation((i, j), r, flow, biset, cut_nodes, cut_edges)
         if r < 2:
             continue
         for w in sorted(instance.unstable):
@@ -542,10 +683,16 @@ def fractional_feasible(
             )
             if flow < r - 1:
                 witness = Biset(inner=biset.inner, outer=biset.inner | {w})
-                return DemandViolation(
+                yield DemandViolation(
                     (i, j), r, flow + 1, witness, (w,) + cut_nodes, cut_edges
                 )
-    return None
+
+
+def fractional_feasible(
+    instance: Instance, fractional: FractionalBeadSolution
+) -> Optional[DemandViolation]:
+    """Separation over the cut relaxation: the first violated cut, or None."""
+    return next(violated_cuts(instance, fractional.pair_capacities()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +718,10 @@ def tau_star(
 ) -> TauStarResult:
     """Optimal fractional bead value by constraint generation, exactly.
 
-    Variables aggregate the parallel copies of one pair (identical LP columns);
-    free zero-cost copies are fixed at capacity one and moved to the right hand
-    side.  Separation reuses the max-flow oracle from fractional_feasible.
+    Variables aggregate the bought copies of one pair in the copy table at
+    k = max_demand (identical LP columns); free copies are fixed at capacity
+    one and moved to the right hand side.  Every cut violated_cuts yields
+    becomes a row.
     """
     if instance.n > r_cap:
         raise ConnectivityError("terminal count %d exceeds cap %d" % (instance.n, r_cap))
@@ -582,34 +730,19 @@ def tau_star(
         return TauStarResult(Fraction(0), {}, 0)
 
     pairs = [(i, j) for i in range(instance.n) for j in range(i + 1, instance.n)]
-    dhat = {p: bead_count(instance.terminal_distance(*p)) for p in pairs}
-
-    var_pairs: List[Tuple[int, int]] = []
-    costs: List[Fraction] = []
-    upper: List[Fraction] = []
-    var_of: Dict[Tuple[int, int], int] = {}
-    free_cap: Dict[Tuple[int, int], int] = {}
-    for p in pairs:
-        if dhat[p] == 0:
-            free_cap[p] = 1
-            if k > 1:
-                var_of[p] = len(var_pairs)
-                var_pairs.append(p)
-                costs.append(Fraction(1))
-                upper.append(Fraction(k - 1))
-        else:
-            var_of[p] = len(var_pairs)
-            var_pairs.append(p)
-            costs.append(Fraction(dhat[p]))
-            upper.append(Fraction(k))
+    table = copy_table(instance, k)
+    var_of = {p: idx for idx, p in enumerate(table.pair_cost)}
+    costs = [Fraction(c) for c in table.pair_cost.values()]
+    upper = [Fraction(table.max_extra[p]) for p in table.pair_cost]
+    free_cap = table.base_caps
 
     rows: List[CoverRow] = []
     seen_rows: Set[Tuple[Tuple[int, ...], Fraction]] = set()
 
-    def add_cut(crossing_pairs, need) -> bool:
+    def add_cut(crossing, need) -> bool:
         coeffs = {}
         fixed = 0
-        for p in crossing_pairs:
+        for p in crossing:
             fixed += free_cap.get(p, 0)
             if p in var_of:
                 coeffs[var_of[p]] = Fraction(1)
@@ -628,7 +761,6 @@ def tau_star(
         for v in (i, j):
             add_cut([p for p in pairs if v in p], r)
 
-    nodes = range(instance.n)
     while True:
         if len(rows) > max_cuts:
             raise ConnectivityError("cut generation exceeded %d rows" % max_cuts)
@@ -642,65 +774,25 @@ def tau_star(
                 caps[p] = c
         progress = False
         violated = False
-        for (i, j, r) in instance.demand_pairs():
-            flow, biset, _, cut_edges = element_maxflow(
-                caps, (), i, j, extra_nodes=nodes
-            )
-            if flow < r:
-                violated = True
-                crossing = _crossing_pairs(pairs, biset, set())
-                progress |= add_cut(crossing, r)
-            if r == 2:
-                for w in sorted(instance.unstable):
-                    if w in (i, j):
-                        continue
-                    reduced = {e: c for e, c in caps.items() if w not in e}
-                    flow, biset, _, _ = element_maxflow(
-                        reduced, (), i, j, extra_nodes=set(nodes) - {w}
-                    )
-                    if flow < r - 1:
-                        violated = True
-                        crossing = _crossing_pairs(pairs, biset, {w})
-                        progress |= add_cut(crossing, r - 1)
+        for cut in violated_cuts(instance, caps):
+            violated = True
+            need = cut.required - len(cut.witness.boundary)
+            progress |= add_cut(crossing_pairs(pairs, cut.witness), need)
         if violated and not progress:
             raise ConnectivityError("separation produced no new cut")
         if not progress:
             break
 
+    # Copies fill in order: the free copy first, then the bought capacity.
     x: Dict[Tuple[int, int, int], Fraction] = {}
+    value = Fraction(0)
     for p in pairs:
-        i, j = p
-        if dhat[p] == 0:
-            x[(i, j, 0)] = Fraction(1)
-            extra = y[var_of[p]] if p in var_of else Fraction(0)
-            for copy in range(1, k):
-                take = min(Fraction(1), extra)
-                x[(i, j, copy)] = take
-                extra -= take
-        else:
-            total = y[var_of[p]]
-            for copy in range(k):
-                take = min(Fraction(1), total)
-                x[(i, j, copy)] = take
-                total -= take
-    value = sum(
-        (x[(i, j, c)] * (dhat[(i, j)] if dhat[(i, j)] else (0 if c == 0 else 1)))
-        for (i, j, c) in x
-    )
-    return TauStarResult(Fraction(value), x, len(rows))
-
-
-def _crossing_pairs(pairs, biset: Biset, removed: Set[int]):
-    inner = biset.inner
-    blocked = biset.boundary | removed
-    crossing = []
-    for (a, b) in pairs:
-        if a in blocked or b in blocked:
-            continue
-        if (a in inner) != (b in inner):
-            crossing.append((a, b))
-    return crossing
-
-
-def serialize_witness(witness: FractionalBeadSolution) -> str:
-    return json.dumps(witness.to_json(), sort_keys=True)
+        free = free_cap.get(p, 0)
+        left = free + (y[var_of[p]] if p in var_of else 0)
+        for copy in range(k):
+            take = min(Fraction(1), left)
+            x[p + (copy,)] = take
+            left -= take
+            if copy >= free:
+                value += take * table.pair_cost[p]
+    return TauStarResult(value, x, len(rows))

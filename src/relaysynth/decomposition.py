@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .connectivity import UnionFind
+
 
 class DecompositionError(ValueError):
     pass
@@ -410,20 +412,12 @@ def _check_hyperedges_connected(hyperedges, ground: Set[int]) -> None:
     ground = set(ground)
     if not ground:
         return
-    parent = {v: v for v in ground}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined = UnionFind(ground)
     for he in hyperedges:
-        it = iter(sorted(he))
-        first = find(next(it))
-        for v in it:
-            parent[find(v)] = first
-    if len({find(v) for v in ground}) != 1:
+        first = min(he)
+        for v in he:
+            joined.union(first, v)
+    if len({joined.find(v) for v in ground}) != 1:
         raise DecompositionError("hyperedges do not connect the terminal set")
 
 

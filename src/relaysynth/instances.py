@@ -186,6 +186,9 @@ class Instance:
             if p.is_abstract:
                 raise InstanceError("terminals must be concrete points")
             validate_point(p, self.metric)
+            # A NaN distance would pass the distance cap below unnoticed.
+            if p.coords is not None and not all(map(math.isfinite, p.coords)):
+                raise InstanceError("terminal coordinates must be finite: %r" % (p.coords,))
         for b in self.unstable:
             if not (0 <= b < n):
                 raise InstanceError("unstable id %r is not a terminal" % (b,))
@@ -402,6 +405,13 @@ def serialize_instance(instance: Instance) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError("%s must be an integer, got %r" % (what, value)) from exc
+
+
 def parse_instance(text: str) -> Instance:
     try:
         payload = json.loads(text)
@@ -410,9 +420,11 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(payload, dict) or "metric" not in payload:
         raise InstanceError("instance JSON must be an object with a 'metric' field")
     mspec = payload["metric"]
+    if not isinstance(mspec, dict):
+        raise InstanceError("'metric' must be an object, got %r" % (mspec,))
     mtype = mspec.get("type")
     if mtype == "euclidean":
-        metric = MetricSpace.euclidean(int(mspec["dim"]), mspec.get("delta"))
+        metric = MetricSpace.euclidean(_as_int(mspec.get("dim"), "dim"), mspec.get("delta"))
     elif mtype == "finite":
         metric = MetricSpace.finite(mspec["matrix"], mspec.get("delta"))
     else:
@@ -433,7 +445,7 @@ def parse_instance(text: str) -> Instance:
 
     n = len(terminals)
     demands = {}
-    default = int(payload.get("default_demand", 0))
+    default = _as_int(payload.get("default_demand", 0), "default_demand")
     if default not in (0, 1, 2):
         raise InstanceError("default_demand must be 0, 1 or 2")
     if default > 0:
@@ -441,7 +453,9 @@ def parse_instance(text: str) -> Instance:
             for j in range(i + 1, n):
                 demands[(i, j)] = default
     for entry in payload.get("demands", []):
-        i, j, r = int(entry[0]), int(entry[1]), int(entry[2])
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise InstanceError("a demand must be a list [i, j, r], got %r" % (entry,))
+        i, j, r = (_as_int(v, "demand entry") for v in entry)
         if not (0 <= i < n and 0 <= j < n):
             raise InstanceError("demand to unknown id (%d,%d)" % (i, j))
         key = _canon_pair(i, j)
@@ -449,9 +463,12 @@ def parse_instance(text: str) -> Instance:
             demands.pop(key, None)
         else:
             demands[key] = r
+    unstable = payload.get("unstable", [])
+    if not isinstance(unstable, list):
+        raise InstanceError("'unstable' must be a list, got %r" % (unstable,))
     return make_instance(
         terminals,
         demands,
         metric,
-        unstable=payload.get("unstable", ()),
+        unstable=[_as_int(b, "unstable id") for b in unstable],
     )

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .beads import BeadEdge, realize
-from .connectivity import verify_feasible
+from .connectivity import UnionFind, verify_feasible
 from .instances import EPS_GEO, Instance, Point, SolutionGraph
 from .steiner import (
     ComponentHypergraph,
     SchemeConfig,
-    _require_all_pairs_unit_demands,
     build_component_hypergraph,
     mst_pairs,
+    require_all_pairs_unit_demands,
 )
 
 
@@ -53,20 +53,12 @@ class CostedHypergraph:
                 raise HypergraphError("hyperedge costs must be nonnegative")
             if not e.nodes <= set(self.nodes):
                 raise HypergraphError("hyperedge leaves the node set")
-        parent = {v: v for v in self.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        joined = UnionFind(self.nodes)
         for e in self.edges:
-            it = iter(e.nodes)
-            first = find(next(it))
-            for v in it:
-                parent[find(v)] = first
-        if len({find(v) for v in self.nodes}) != 1:
+            first = min(e.nodes)
+            for v in e.nodes:
+                joined.union(first, v)
+        if len({joined.find(v) for v in self.nodes}) != 1:
             raise HypergraphError("hypergraph is not connected")
 
     def pair_edges(self) -> Tuple[CostedEdge, ...]:
@@ -111,26 +103,15 @@ def max_overlapped_set(
     def rep(x):
         return anchor if x in group else x
 
-    parent: Dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent.setdefault(parent[x], parent[x])
-            x = parent[x]
-        return x
-
+    joined = UnionFind()
     dropped = []
     order = sorted(
         enumerate(tree_edges), key=lambda item: (item[1][2], item[1][0], item[1][1])
     )
     kept_ids = set()
     for idx, (u, v, cost) in order:
-        ru, rv = find(rep(u)), find(rep(v))
-        if ru == rv:
-            continue
-        parent[max(ru, rv)] = min(ru, rv)
-        kept_ids.add(idx)
+        if joined.union(rep(u), rep(v)):
+            kept_ids.add(idx)
     for idx, edge in enumerate(tree_edges):
         if idx not in kept_ids:
             dropped.append(edge)
@@ -207,25 +188,15 @@ def local_replacement(
     """Run the improvement loop from a spanning tree of the pair edges."""
     nodes = set(hypergraph.nodes)
     by_eid = {e.eid: e for e in hypergraph.edges}
-    parent = {v: v for v in nodes}
-
-    def tfind(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    spanned = UnionFind(nodes)
     for e in tree:
         if not e.is_pair:
             raise HypergraphError("the starting tree must consist of pair edges")
         if by_eid.get(e.eid) is not e and by_eid.get(e.eid) != e:
             raise HypergraphError("tree edge %r is not part of the hypergraph" % (e,))
-        u, v = sorted(e.nodes)
-        ru, rv = tfind(u), tfind(v)
-        if ru == rv:
+        if not spanned.union(*e.nodes):
             raise HypergraphError("the starting edges contain a cycle")
-        parent[ru] = rv
-    if len(tree) != len(nodes) - 1 or len({tfind(v) for v in nodes}) != 1:
+    if len(tree) != len(nodes) - 1 or len({spanned.find(v) for v in nodes}) != 1:
         raise HypergraphError("the starting edges do not span the nodes as a tree")
 
     live: List[Tuple[int, int, object, int]] = []
@@ -233,13 +204,8 @@ def local_replacement(
         u, v = sorted(e.nodes)
         live.append((u, v, e.cost, e.eid))
 
-    merged: Dict[int, int] = {v: v for v in nodes}
-
-    def rep(x):
-        while merged[x] != x:
-            merged[x] = merged[merged[x]]
-            x = merged[x]
-        return x
+    merged = UnionFind(nodes)
+    rep = merged.find
 
     f0 = sum(c for _, _, c, _ in live)
     steps: List[TraceStep] = []
@@ -278,9 +244,9 @@ def local_replacement(
                     removed.append((u, v, c))
                 else:
                     new_live.append((u, v, c, eid))
-            anchor = min(rep(v) for v in edge.nodes)
+            anchor = min(edge.nodes)
             for v in edge.nodes:
-                merged[rep(v)] = anchor
+                merged.union(anchor, v)
             live = [
                 (min(rep(u), rep(v)), max(rep(u), rep(v)), c, eid)
                 for u, v, c, eid in new_live
@@ -327,7 +293,7 @@ def st_msp_scheme(
 ) -> SchemeResult:
     """Hypergraph spanning pipeline: oracle costs, MST start, replacement, realize."""
     config = config or SchemeConfig()
-    _require_all_pairs_unit_demands(instance)
+    require_all_pairs_unit_demands(instance)
     component_graph = build_component_hypergraph(instance, config)
     edge_items = [(e.nodes, e.cost) for e in component_graph.edges]
     hypergraph = costed_hypergraph(range(instance.n), edge_items)

@@ -17,14 +17,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from .beads import BeadEdge, realize
-from .connectivity import is_feasible, verify_feasible
+from .connectivity import UnionFind, bead_costs, is_feasible, verify_feasible
 from .instances import (
     EPS_GEO,
     Instance,
     InstanceError,
     Point,
     SolutionGraph,
-    bead_count,
     build_unit_disk_graph,
 )
 
@@ -50,7 +49,7 @@ class SchemeConfig:
             raise InstanceError("component size cap k must be >= 2")
 
 
-def _require_all_pairs_unit_demands(instance: Instance) -> None:
+def require_all_pairs_unit_demands(instance: Instance) -> None:
     expected = instance.n * (instance.n - 1) // 2
     if len(instance.demands) != expected or any(
         r != 1 for r in instance.demands.values()
@@ -62,34 +61,24 @@ def _require_all_pairs_unit_demands(instance: Instance) -> None:
 # MST baseline
 
 
-def mst_pairs(instance: Instance) -> List[Tuple[int, int, int]]:
-    """Kruskal MST over bead costs; ties broken lexicographically."""
-    n = instance.n
+def mst_pairs(
+    instance: Instance, terminals: Optional[Iterable[int]] = None
+) -> List[Tuple[int, int, int]]:
+    """Kruskal MST over bead costs of the terminals (default: all) as
+    (cost, i, j); ties broken lexicographically."""
+    keep = set(range(instance.n) if terminals is None else terminals)
     edges = sorted(
-        (bead_count(instance.terminal_distance(i, j)), i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
+        (cost, i, j)
+        for (i, j), cost in bead_costs(instance).items()
+        if i in keep and j in keep
     )
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for cost, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            chosen.append((cost, i, j))
-    return chosen
+    joined = UnionFind(keep)
+    return [(cost, i, j) for cost, i, j in edges if joined.union(i, j)]
 
 
 def mst_baseline(instance: Instance, eps_geo: float = EPS_GEO) -> SolutionGraph:
     """Realize the bead MST; a feasible all-pairs tree with |S| = sum of costs."""
-    _require_all_pairs_unit_demands(instance)
+    require_all_pairs_unit_demands(instance)
     selected = [BeadEdge(i, j, 0, cost) for cost, i, j in mst_pairs(instance)]
     placement = realize(instance, selected, eps_geo)
     bad = verify_feasible(instance, placement.solution)
@@ -110,9 +99,6 @@ class CandidateUniverse:
     n_terminals: int
     adjacency: np.ndarray  # bool matrix, unit-disk relation over points
     truncated: bool
-
-    def neighbors_mask(self, idx: int) -> np.ndarray:
-        return self.adjacency[idx]
 
 
 def _round_key(coords: Sequence[float]) -> Tuple[float, ...]:
@@ -226,24 +212,14 @@ def build_candidate_universe(
 
 def _connects(adj: np.ndarray, nodes: Sequence[int], targets: Sequence[int]) -> bool:
     nodes = list(nodes)
-    pos = {v: i for i, v in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined = UnionFind(nodes)
     for i, u in enumerate(nodes):
         row = adj[u]
-        for j in range(i + 1, len(nodes)):
-            if row[nodes[j]]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    root = find(pos[targets[0]])
-    return all(find(pos[t]) == root for t in targets[1:])
+        for v in nodes[i + 1:]:
+            if row[v]:
+                joined.union(u, v)
+    root = joined.find(targets[0])
+    return all(joined.find(t) == root for t in targets[1:])
 
 
 def _deepening_search(
@@ -317,27 +293,11 @@ def exact_component_oracle(
         universe = build_candidate_universe(instance, config)
 
     # Bead chains along the subset's MST give an always-available fallback.
-    fallback_edges = []
-    sub_pairs = sorted(
-        (bead_count(instance.terminal_distance(i, j)), i, j)
-        for i, j in itertools.combinations(subset, 2)
-    )
-    parent = {v: v for v in subset}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ub = 0
-    for cost, i, j in sub_pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            fallback_edges.append(BeadEdge(i, j, 0, cost))
-            ub += cost
-    fallback_points = realize(instance, fallback_edges).points
+    mst = mst_pairs(instance, subset)
+    ub = sum(cost for cost, _, _ in mst)
+    fallback_points = realize(
+        instance, [BeadEdge(i, j, 0, cost) for cost, i, j in mst]
+    ).points
 
     exact = not universe.truncated
     adj = universe.adjacency
@@ -405,20 +365,10 @@ def _witness_connects(
     pts = [instance.terminals[t] for t in sorted(subset)] + list(witness)
     if any(p.is_abstract for p in pts):
         return False
-    edges = build_unit_disk_graph(pts, instance.metric, eps_geo)
-    parent = list(range(len(pts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    return len({find(i) for i in range(len(subset))}) == 1
+    joined = UnionFind(range(len(pts)))
+    for a, b in build_unit_disk_graph(pts, instance.metric, eps_geo):
+        joined.union(a, b)
+    return len({joined.find(i) for i in range(len(subset))}) == 1
 
 
 def build_component_hypergraph(
@@ -436,14 +386,14 @@ def build_component_hypergraph(
             "hypergraph of %d edges exceeds budget; lower k" % total
         )
     universe = build_candidate_universe(instance, config)
+    pair_costs = bead_costs(instance)
     table: Dict[FrozenSet[int], Hyperedge] = {}
     for j in range(2, min(config.k, n) + 1):
         for combo in itertools.combinations(range(n), j):
             key = frozenset(combo)
             if j == 2:
-                i, l = combo
-                cost = bead_count(instance.terminal_distance(i, l))
-                witness = realize(instance, [BeadEdge(i, l, 0, cost)]).points
+                cost = pair_costs[combo]
+                witness = realize(instance, [BeadEdge(*combo, 0, cost)]).points
                 table[key] = Hyperedge(key, cost, witness, True)
             else:
                 res = exact_component_oracle(instance, combo, config, universe)

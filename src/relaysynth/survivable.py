@@ -12,28 +12,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .beads import (
-    BeadEdge,
-    _first_deficiency,
-    _selected_caps,
-    build_bead_graph,
-    realize,
-    tau_integral,
-)
+from .beads import BeadEdge, realize, selection_of, tau_integral
 from .connectivity import (
     ConnectivityError,
     FractionalBeadSolution,
-    _crossing_pairs,
+    UnionFind,
+    bead_costs,
+    copy_table,
+    greedy_patch,
     half_integral_witness,
     fractional_feasible,
     is_feasible,
     prune_minimal,
+    reverse_delete,
     tau_star,
     verify_feasible,
 )
-from .instances import EPS_GEO, Instance, InstanceError, SolutionGraph, bead_count, pairwise_distance
+from .instances import EPS_GEO, Instance, InstanceError, SolutionGraph, pairwise_distance
 
 
 @dataclass(frozen=True)
@@ -56,40 +53,16 @@ def sn_backend_exact(instance: Instance, **caps) -> SnBackendResult:
     return SnBackendResult(res.selected, res.cost, res.certified, res.lower_bound)
 
 
-def _pair_tables(instance: Instance, k: int):
-    pair_cost: Dict[Tuple[int, int], int] = {}
-    max_extra: Dict[Tuple[int, int], int] = {}
-    base_caps: Dict[Tuple[int, int], int] = {}
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            dhat = bead_count(instance.terminal_distance(i, j))
-            if dhat > 0:
-                pair_cost[(i, j)] = dhat
-                max_extra[(i, j)] = k
-            else:
-                base_caps[(i, j)] = 1
-                if k > 1:
-                    pair_cost[(i, j)] = 1
-                    max_extra[(i, j)] = k - 1
-    return pair_cost, max_extra, base_caps
-
-
 def _moat_forest(instance: Instance) -> List[Tuple[int, int]]:
     """Primal-dual forest for the connectivity-1 part, grown in exact duals."""
     n = instance.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     want = [(i, j) for (i, j, r) in instance.demand_pairs() if r >= 1]
     if not want:
         return []
-    cost = {p: Fraction(bead_count(instance.terminal_distance(*p))) for p in pairs}
-
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    cost = {p: Fraction(c) for p, c in bead_costs(instance).items()}
+    pairs = list(cost)
+    uf = UnionFind(range(n))
+    find = uf.find
 
     def active_components() -> Set[int]:
         act = set()
@@ -130,74 +103,29 @@ def _moat_forest(instance: Instance) -> List[Tuple[int, int]]:
                 if loads:
                     remaining[p] -= delta * loads
         chosen.append(tight_pair)
-        ru, rv = find(tight_pair[0]), find(tight_pair[1])
-        parent[max(ru, rv)] = min(ru, rv)
+        uf.union(*tight_pair)
 
     # Reverse delete, newest first, keeping every r>=1 pair connected.
     kept = list(chosen)
     for p in reversed(chosen):
         trial = [e for e in kept if e != p]
-        parent2 = list(range(n))
-
-        def find2(x):
-            while parent2[x] != x:
-                parent2[x] = parent2[parent2[x]]
-                x = parent2[x]
-            return x
-
+        joined = UnionFind(range(n))
         for (a, b) in trial:
-            parent2[max(find2(a), find2(b))] = min(find2(a), find2(b))
-        if all(find2(u) == find2(v) for (u, v) in want):
+            joined.union(a, b)
+        if all(joined.find(u) == joined.find(v) for (u, v) in want):
             kept = trial
     return kept
 
 
 def sn_backend_primal_dual(instance: Instance) -> SnBackendResult:
     """Moat-grown forest, greedy 2-connectivity patching, reverse delete."""
-    k = 2
-    pair_cost, max_extra, base_caps = _pair_tables(instance, k)
-    demands = instance.demand_pairs()
-    all_pairs = sorted(pair_cost)
-
-    counts: Dict[Tuple[int, int], int] = {}
-    for p in _moat_forest(instance):
-        if p in pair_cost and base_caps.get(p, 0) == 0:
-            counts[p] = max(counts.get(p, 0), 1)
-
-    # Patch every remaining deficit with the cheapest crossing copy.
-    while True:
-        defic = _first_deficiency(instance, _selected_caps(base_caps, counts), demands)
-        if defic is None:
-            break
-        biset = defic[4]
-        crossing = _crossing_pairs(all_pairs, biset, set())
-        candidates = [p for p in crossing if counts.get(p, 0) < max_extra.get(p, 0)]
-        if not candidates:
-            raise ConnectivityError("deficit with no purchasable copy")
-        p = min(candidates, key=lambda p: (pair_cost[p], p))
-        counts[p] = counts.get(p, 0) + 1
-
-    order = sorted(
-        (p for p in counts for _ in range(counts[p])),
-        key=lambda p: (-pair_cost[p], p),
-    )
-    for p in order:
-        if counts.get(p, 0) == 0:
-            continue
-        counts[p] -= 1
-        if _first_deficiency(instance, _selected_caps(base_caps, counts), demands):
-            counts[p] += 1
-        elif counts[p] == 0:
-            del counts[p]
-
-    bead = build_bead_graph(instance, k)
-    selected = list(bead.zero_cost_edges())
-    for (u, v), cnt in sorted(counts.items()):
-        copies = [e for e in bead.pair_edges(u, v) if e.cost > 0]
-        selected.extend(copies[:cnt])
-    cost = sum(e.cost for e in selected)
+    table = copy_table(instance, 2)
+    counts = {p: 1 for p in _moat_forest(instance) if p not in table.base_caps}
+    counts = reverse_delete(instance, table, greedy_patch(instance, table, counts))
     ts = tau_star(instance, r_cap=max(16, instance.n))
-    return SnBackendResult(tuple(sorted(selected)), cost, False, ts.value)
+    return SnBackendResult(
+        selection_of(table, counts), table.cost(counts), False, ts.value
+    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from relaysynth.cli import main
 from relaysynth.reporting import CSV_COLUMNS
@@ -131,3 +134,27 @@ def test_usage_error_exits_one(capsys):
 def test_missing_instance_file_exits_one(capsys, tmp_path):
     assert run_cli("solve", "--instance", str(tmp_path / "nope.json")) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("metric", "euclidean"),
+        ("demands", [[0, 1]]),
+        ("unstable", ["a"]),
+        ("terminals", [[math.nan, 0.0], [1.5, 0.0]]),
+    ],
+)
+def test_malformed_instance_json_exits_one(tmp_path, capsys, key, value):
+    payload = {
+        "metric": {"type": "euclidean", "dim": 2},
+        "terminals": [[0.0, 0.0], [1.5, 0.0]],
+        "demands": [[0, 1, 1]],
+    }
+    payload[key] = value
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli("solve", "--instance", str(path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

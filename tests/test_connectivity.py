@@ -22,6 +22,7 @@ from relaysynth.connectivity import (
     r_components,
     tau_star,
     verify_feasible,
+    violated_cuts,
 )
 from relaysynth.instances import (
     MetricSpace,
@@ -449,6 +450,71 @@ def test_unstable_terminal_enters_separation():
     assert violation is not None
     assert violation.witness.boundary == frozenset({1})
     assert violation.pair == (0, 2)
+
+
+def _nx_cut(caps, nodes, i, j, scale):
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for (a, b), c in caps.items():
+        if a in nodes and b in nodes:
+            graph.add_edge(a, b, capacity=int(c * scale))
+    return Fraction(nx.minimum_cut_value(graph, i, j), scale)
+
+
+def test_separation_matches_networkx_cuts():
+    # Verdicts against networkx min cuts: a plain cut of at least r, and for
+    # r = 2 a cut of at least 1 without each unstable w; every yielded cut
+    # must be violated by its own crossing capacity.
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        pts = [Point.at(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(n)]
+        demands = {
+            (i, j): rng.choice((1, 2))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.5
+        } or {(0, n - 1): 2}
+        unstable = [v for v in range(n) if rng.random() < 0.4]
+        inst = make_instance(pts, demands, E2, unstable=unstable)
+        # Capacity gathers at unstable nodes, so some solutions meet every
+        # plain cut and fail only once an unstable node is removed.
+        entries = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                hub = i in unstable or j in unstable
+                for copy in range(rng.choice((1, 2) if hub else (0, 0, 1))):
+                    x = Fraction(rng.randint(2 if hub else 1, 4), 4)
+                    entries.append(WitnessEdge(i, j, copy, 1, x))
+        fractional = FractionalBeadSolution(tuple(entries))
+        caps = fractional.pair_capacities()
+
+        plain_ok = removal_ok = True
+        for (i, j, r) in inst.demand_pairs():
+            if _nx_cut(caps, set(range(n)), i, j, 4) < r:
+                plain_ok = False
+            for w in inst.unstable if r == 2 else ():
+                if w not in (i, j):
+                    rest = set(range(n)) - {w}
+                    if _nx_cut(caps, rest, i, j, 4) < r - 1:
+                        removal_ok = False
+        verdicts.add((plain_ok, removal_ok))
+        expected = plain_ok and removal_ok
+        assert (fractional_feasible(inst, fractional) is None) == expected
+
+        for cut in violated_cuts(inst, caps):
+            inner, boundary = cut.witness.inner, cut.witness.boundary
+            i, j = cut.pair
+            assert len(boundary) <= 1 and boundary <= inst.unstable
+            assert not {i, j} & boundary and (i in inner) != (j in inner)
+            crossing = sum(
+                c
+                for (a, b), c in caps.items()
+                if not {a, b} & boundary and (a in inner) != (b in inner)
+            )
+            assert crossing < cut.required - len(boundary)
+    assert {(True, True), (True, False), (False, True)} <= verdicts
 
 
 def test_tau_star_examples():

@@ -194,6 +194,13 @@ def test_instance_rejects_bad_demands():
         make_instance(pts, {(0, 1): 3}, E2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instance_rejects_non_finite_coordinates(bad):
+    pts = [Point.at(bad, 0.0), Point.at(1, 0)]
+    with pytest.raises(InstanceError, match="finite"):
+        make_instance(pts, {(0, 1): 1}, E2)
+
+
 def test_packing_bound_spot_check():
     # No sampled point set in a closed unit ball admits 6 points pairwise > 1.
     rng = random.Random(99)
