@@ -84,10 +84,6 @@ class BeadPlacement:
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def cost(self) -> int:
-        return sum(e.cost for e in self.selected)
-
 
 def realize(
     instance: Instance, selected: Iterable[BeadEdge], eps_geo: float = EPS_GEO
@@ -181,7 +177,7 @@ def tau_integral(
     if first_deficiency(instance, table.caps(table.max_extra)) is not None:
         raise BeadError("even the full bead graph misses a demand")
 
-    ts = tau_star(instance, r_cap=max(r_cap, instance.n))
+    ts = tau_star(instance)
     lower = ts.value
     lb_int = math.ceil(lower)
 

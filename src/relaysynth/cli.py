@@ -40,6 +40,8 @@ def _fmt(value) -> Optional[str]:
 def _maybe_opt(instance: Instance, upper: int) -> Optional[int]:
     if instance.n > _OPT_TERMINAL_CAP or upper > _OPT_SIZE_CAP:
         return None
+    if instance.metric.kind == "euclidean" and instance.metric.dim != 2:
+        return None  # the candidate universe is planar only
     config = SchemeConfig(
         k=2, candidate_depth=1, max_candidates=200, state_cap=5000
     )

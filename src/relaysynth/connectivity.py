@@ -6,10 +6,12 @@ on a node-split graph.  The same flow engine powers Menger witnesses, the
 separation oracle of the cut relaxation, and its exact optimum tau_star.
 
 This module is the one cut engine for {0,1,2} demands.  It owns the bead
-copy table of every terminal pair, the first deficient demand with its
-witness biset, the pairs crossing a biset, the greedy patch and reverse
-delete over copy counts, and the separation generator of the cut relaxation,
-whose witnesses have at most one unstable node on the boundary.
+copy table of every terminal pair, the pairs crossing a biset, the greedy
+patch and reverse delete over copy counts, and the one Menger check of every
+demand: the element max-flow capped at the demand r, with each Q-node of
+capacity one.  Its min cut is a biset whose boundary nodes cost one each, so
+a violated demand r <= 2 has a witness with at most one node on the boundary,
+the form the cut relaxation needs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .instances import Instance, SolutionGraph, bead_count
 from .simplex import CoverRow, solve_min_cover
 
 _HALF = Fraction(1, 2)
+_MAX_CUTS = 5000  # row bound of tau_star's constraint generation
 
 
 class ConnectivityError(ValueError):
@@ -114,9 +117,6 @@ class Biset:
     def boundary(self) -> frozenset:
         return self.outer - self.inner
 
-    def to_json(self):
-        return {"inner": sorted(self.inner), "outer": sorted(self.outer)}
-
 
 @dataclass(frozen=True)
 class DemandViolation:
@@ -126,16 +126,6 @@ class DemandViolation:
     witness: Biset
     cut_nodes: Tuple[int, ...]
     cut_edges: Tuple[Tuple[int, int], ...]
-
-    def to_json(self):
-        return {
-            "pair": list(self.pair),
-            "required": self.required,
-            "achieved": str(self.achieved),
-            "witness": self.witness.to_json(),
-            "cut_nodes": list(self.cut_nodes),
-            "cut_edges": [list(e) for e in self.cut_edges],
-        }
 
 
 def element_maxflow(
@@ -278,28 +268,33 @@ def q_connectivity_cut(caps: Mapping[Tuple[int, int], object], q, u, v, *, nodes
 
 
 def _deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolation]:
-    """Unmet demands in order, each with its Menger cut; a flow capped at the
-    demand screens every pair before the full flow computes the cut."""
+    """Unmet demands in order, each with its Menger cut.
+
+    One element flow per demand pair, capped at the demand r.  A flow that
+    stops below r found no augmenting path, so it is maximum and its cut is
+    the min cut.  Each Q-node on the boundary of that cut costs one, so for
+    r <= 2 the witness has at most one boundary node.
+    """
     for (i, j, r) in instance.demand_pairs():
-        flow, _, _, _ = element_maxflow(caps, q, i, j, limit=r, extra_nodes=nodes)
-        if flow >= r:
-            continue
-        full, biset, cut_nodes, cut_edges = element_maxflow(
-            caps, q, i, j, extra_nodes=nodes
+        flow, biset, cut_nodes, cut_edges = element_maxflow(
+            caps, q, i, j, limit=r, extra_nodes=nodes
         )
-        yield DemandViolation((i, j), r, full, biset, cut_nodes, cut_edges)
+        if flow < r:
+            yield DemandViolation((i, j), r, flow, biset, cut_nodes, cut_edges)
+
+
+def _graph_deficiencies(instance: Instance, solution: SolutionGraph):
+    caps = {e: 1 for e in solution.edges}
+    return _deficiencies(instance, caps, solution.q_nodes(), range(solution.n_nodes))
 
 
 def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandViolation]:
     """Empty list iff every demand is met with B-and-Steiner disjoint paths."""
-    caps = {e: 1 for e in solution.edges}
-    return list(
-        _deficiencies(instance, caps, solution.q_nodes(), range(solution.n_nodes))
-    )
+    return list(_graph_deficiencies(instance, solution))
 
 
 def is_feasible(instance: Instance, solution: SolutionGraph) -> bool:
-    return not verify_feasible(instance, solution)
+    return next(_graph_deficiencies(instance, solution), None) is None
 
 
 def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
@@ -397,10 +392,20 @@ def crossing_pairs(pairs, cut: Biset) -> List[Tuple[int, int]]:
     return crossing
 
 
+def violated_cuts(instance: Instance, caps) -> Iterator[DemandViolation]:
+    """Violated constraints of the cut relaxation over pair capacities ``caps``.
+
+    Each is an unmet demand of the element flow with the unstable terminals
+    as Q, so its witness has at most one unstable terminal on the boundary,
+    and a cut with boundary b needs ``required - len(b)`` crossing capacity.
+    """
+    return _deficiencies(instance, caps, instance.unstable, range(instance.n))
+
+
 def first_deficiency(instance: Instance, caps) -> Optional[DemandViolation]:
     """First demand the terminal multigraph ``caps`` misses, with unstable
     terminals as the only node-capacitated elements; None when all are met."""
-    return next(_deficiencies(instance, caps, instance.unstable, range(instance.n)), None)
+    return next(violated_cuts(instance, caps), None)
 
 
 def greedy_patch(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[int, int], int]:
@@ -654,45 +659,11 @@ def half_integral_witness(
     return FractionalBeadSolution(tuple(entries))
 
 
-def violated_cuts(instance: Instance, caps) -> Iterator[DemandViolation]:
-    """Violated constraints of the cut relaxation over pair capacities ``caps``.
-
-    For demands up to 2, a witness biset whose boundary holds at most one
-    unstable terminal suffices.  Per demand, the plain min cut is checked
-    against the demand; then, for r = 2, the min cut of the graph without each
-    unstable terminal w against r - 1, yielded with w as the boundary.  A cut
-    with boundary b thus needs ``required - len(b)`` crossing capacity.
-    """
-    nodes = range(instance.n)
-    for (i, j, r) in instance.demand_pairs():
-        flow, biset, cut_nodes, cut_edges = element_maxflow(
-            caps, (), i, j, extra_nodes=nodes
-        )
-        if flow < r:
-            yield DemandViolation((i, j), r, flow, biset, cut_nodes, cut_edges)
-        if r < 2:
-            continue
-        for w in sorted(instance.unstable):
-            if w in (i, j):
-                continue
-            reduced = {
-                e: c for e, c in caps.items() if w not in e
-            }
-            flow, biset, cut_nodes, cut_edges = element_maxflow(
-                reduced, (), i, j, extra_nodes=set(nodes) - {w}
-            )
-            if flow < r - 1:
-                witness = Biset(inner=biset.inner, outer=biset.inner | {w})
-                yield DemandViolation(
-                    (i, j), r, flow + 1, witness, (w,) + cut_nodes, cut_edges
-                )
-
-
 def fractional_feasible(
     instance: Instance, fractional: FractionalBeadSolution
 ) -> Optional[DemandViolation]:
     """Separation over the cut relaxation: the first violated cut, or None."""
-    return next(violated_cuts(instance, fractional.pair_capacities()), None)
+    return first_deficiency(instance, fractional.pair_capacities())
 
 
 # ---------------------------------------------------------------------------
@@ -705,26 +676,15 @@ class TauStarResult:
     x: Mapping[Tuple[int, int, int], Fraction]
     cuts: int
 
-    def to_json(self):
-        return {
-            "value": str(self.value),
-            "x": {"%d-%d-%d" % k: str(v) for k, v in sorted(self.x.items()) if v},
-            "cuts": self.cuts,
-        }
 
-
-def tau_star(
-    instance: Instance, *, r_cap: int = 16, max_cuts: int = 5000
-) -> TauStarResult:
+def tau_star(instance: Instance) -> TauStarResult:
     """Optimal fractional bead value by constraint generation, exactly.
 
     Variables aggregate the bought copies of one pair in the copy table at
     k = max_demand (identical LP columns); free copies are fixed at capacity
     one and moved to the right hand side.  Every cut violated_cuts yields
-    becomes a row.
+    becomes a row, up to _MAX_CUTS rows.
     """
-    if instance.n > r_cap:
-        raise ConnectivityError("terminal count %d exceeds cap %d" % (instance.n, r_cap))
     k = instance.max_demand
     if k == 0:
         return TauStarResult(Fraction(0), {}, 0)
@@ -762,8 +722,8 @@ def tau_star(
             add_cut([p for p in pairs if v in p], r)
 
     while True:
-        if len(rows) > max_cuts:
-            raise ConnectivityError("cut generation exceeded %d rows" % max_cuts)
+        if len(rows) > _MAX_CUTS:
+            raise ConnectivityError("cut generation exceeded %d rows" % _MAX_CUTS)
         value, y = solve_min_cover(costs, upper, rows)
         caps: Dict[Tuple[int, int], Fraction] = {}
         for p in pairs:

@@ -439,21 +439,6 @@ class DecompositionCertificate:
     steiner_budget: Fraction
     p: int
 
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "steiner_total": self.steiner_total,
-            "steiner_budget": str(self.steiner_budget),
-            "p": self.p,
-            "hyperedges": [
-                {
-                    "terminals": sorted(e.terminals),
-                    "steiner_support": sorted(e.steiner_support),
-                }
-                for e in self.hyperedges
-            ],
-        }
-
 
 def _tree_adjacency(edges) -> Dict[int, Set[int]]:
     adj: Dict[int, Set[int]] = {}

@@ -30,10 +30,13 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
+    try:
+        if isinstance(value, float):
+            return Fraction(str(value))
+        if isinstance(value, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass  # NaN, infinities and malformed strings
     raise InstanceError(f"cannot interpret {value!r} as a rational distance")
 
 
@@ -221,9 +224,6 @@ class Instance:
     def max_demand(self) -> int:
         return max(self.demands.values(), default=0)
 
-    def demand(self, i: int, j: int) -> int:
-        return self.demands.get(_canon_pair(i, j), 0)
-
     def demand_pairs(self) -> Tuple[Tuple[int, int, int], ...]:
         return tuple(sorted((i, j, r) for (i, j), r in self.demands.items()))
 
@@ -406,10 +406,28 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def _as_int(value, what: str) -> int:
-    try:
+    """A JSON integer, or a float with an integral value; nothing is truncated."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError("%s must be an integer, got %r" % (what, value)) from exc
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InstanceError("%s must be an integer, got %r" % (what, value))
+
+
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceError("%s must be a list, got %r" % (what, value))
+    return value
+
+
+def _as_point(entry) -> Point:
+    coords = _as_list(entry, "a euclidean terminal")
+    try:
+        if all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coords):
+            return Point.at(*coords)
+    except OverflowError:
+        pass  # an integer too large for a float
+    raise InstanceError("terminal coordinates must be finite numbers, got %r" % (entry,))
 
 
 def parse_instance(text: str) -> Instance:
@@ -423,25 +441,29 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(mspec, dict):
         raise InstanceError("'metric' must be an object, got %r" % (mspec,))
     mtype = mspec.get("type")
+    delta = mspec.get("delta")
+    if delta is not None:
+        delta = _as_int(delta, "delta")
     if mtype == "euclidean":
-        metric = MetricSpace.euclidean(_as_int(mspec.get("dim"), "dim"), mspec.get("delta"))
+        metric = MetricSpace.euclidean(_as_int(mspec.get("dim"), "dim"), delta)
     elif mtype == "finite":
-        metric = MetricSpace.finite(mspec["matrix"], mspec.get("delta"))
+        matrix = _as_list(mspec.get("matrix"), "'matrix'")
+        metric = MetricSpace.finite([_as_list(row, "a matrix row") for row in matrix], delta)
     else:
         raise InstanceError("unknown metric type %r" % (mtype,))
 
     raw_terminals = payload.get("terminals")
-    terminals = []
     if metric.kind == "euclidean":
         if not raw_terminals:
             raise InstanceError("euclidean instances must list terminal coordinates")
-        for entry in raw_terminals:
-            terminals.append(Point.at(*entry))
+        terminals = [_as_point(entry) for entry in _as_list(raw_terminals, "'terminals'")]
+    elif raw_terminals is None:
+        terminals = [Point.node(i) for i in range(metric.size)]
     else:
-        if raw_terminals is None:
-            terminals = [Point.node(i) for i in range(metric.size)]
-        else:
-            terminals = [Point.node(i) for i in raw_terminals]
+        terminals = [
+            Point.node(_as_int(i, "a finite terminal"))
+            for i in _as_list(raw_terminals, "'terminals'")
+        ]
 
     n = len(terminals)
     demands = {}
@@ -452,7 +474,7 @@ def parse_instance(text: str) -> Instance:
         for i in range(n):
             for j in range(i + 1, n):
                 demands[(i, j)] = default
-    for entry in payload.get("demands", []):
+    for entry in _as_list(payload.get("demands", []), "'demands'"):
         if not isinstance(entry, list) or len(entry) != 3:
             raise InstanceError("a demand must be a list [i, j, r], got %r" % (entry,))
         i, j, r = (_as_int(v, "demand entry") for v in entry)
@@ -463,9 +485,7 @@ def parse_instance(text: str) -> Instance:
             demands.pop(key, None)
         else:
             demands[key] = r
-    unstable = payload.get("unstable", [])
-    if not isinstance(unstable, list):
-        raise InstanceError("'unstable' must be a list, got %r" % (unstable,))
+    unstable = _as_list(payload.get("unstable", []), "'unstable'")
     return make_instance(
         terminals,
         demands,

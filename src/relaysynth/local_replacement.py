@@ -10,8 +10,7 @@ committed step so the logarithmic cost bound can be replayed afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .beads import BeadEdge, realize
 from .connectivity import UnionFind, verify_feasible
@@ -60,9 +59,6 @@ class CostedHypergraph:
                 joined.union(first, v)
         if len({joined.find(v) for v in self.nodes}) != 1:
             raise HypergraphError("hypergraph is not connected")
-
-    def pair_edges(self) -> Tuple[CostedEdge, ...]:
-        return tuple(e for e in self.edges if e.is_pair)
 
 
 def costed_hypergraph(nodes: Iterable[int], edge_items) -> CostedHypergraph:

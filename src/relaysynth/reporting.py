@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .instances import Instance, SolutionGraph, serialize_instance
+from .instances import Instance, InstanceError, SolutionGraph, serialize_instance
 
 REPORT_VERSION = 1
 
@@ -76,8 +76,9 @@ class RunReport:
 
 def render_svg(solution: SolutionGraph, scale: float = 80.0) -> str:
     """Static picture: edges, terminals (unstable highlighted), relay points."""
-    if solution.abstract or solution.instance.metric.kind != "euclidean":
-        raise ValueError("SVG rendering needs planar coordinates")
+    metric = solution.instance.metric
+    if solution.abstract or metric.kind != "euclidean" or metric.dim != 2:
+        raise InstanceError("SVG rendering needs planar coordinates")
     coords = [solution.point_of(v).coords for v in range(solution.n_nodes)]
     xs = [c[0] for c in coords]
     ys = [c[1] for c in coords]

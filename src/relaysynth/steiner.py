@@ -341,20 +341,6 @@ class ComponentHypergraph:
                 return e
         raise KeyError(subset)
 
-    def to_json(self):
-        return {
-            "k": self.k,
-            "edges": [
-                {
-                    "nodes": sorted(e.nodes),
-                    "cost": e.cost,
-                    "exact": e.exact,
-                    "witness": [list(p.coords) if p.coords else p.index for p in e.witness],
-                }
-                for e in self.edges
-            ],
-        }
-
 
 def _witness_connects(
     instance: Instance,

@@ -40,12 +40,6 @@ class SnBackendResult:
     certified: bool
     tau_star_value: Fraction
 
-    @property
-    def ratio_vs_taustar(self) -> Optional[Fraction]:
-        if self.tau_star_value == 0:
-            return None
-        return Fraction(self.cost) / self.tau_star_value
-
 
 def sn_backend_exact(instance: Instance, **caps) -> SnBackendResult:
     """Certified optimum on small instances via the bead branch-and-bound."""
@@ -122,7 +116,7 @@ def sn_backend_primal_dual(instance: Instance) -> SnBackendResult:
     table = copy_table(instance, 2)
     counts = {p: 1 for p in _moat_forest(instance) if p not in table.base_caps}
     counts = reverse_delete(instance, table, greedy_patch(instance, table, counts))
-    ts = tau_star(instance, r_cap=max(16, instance.n))
+    ts = tau_star(instance)
     return SnBackendResult(
         selection_of(table, counts), table.cost(counts), False, ts.value
     )

@@ -143,6 +143,19 @@ def test_missing_instance_file_exits_one(capsys, tmp_path):
         ("demands", [[0, 1]]),
         ("unstable", ["a"]),
         ("terminals", [[math.nan, 0.0], [1.5, 0.0]]),
+        ("terminals", [["a", 0], [1.5, 0]]),
+        ("terminals", [5, [1.5, 0]]),
+        ("terminals", {"a": 1}),
+        ("terminals", [[10**400, 0], [1.5, 0]]),
+        ("demands", 3),
+        ("demands", [[0, 1, 1.5]]),
+        ("metric", {"type": "euclidean", "dim": 2, "delta": "x"}),
+        ("metric", {"type": "euclidean", "dim": 2.5}),
+        ("metric", {"type": "finite", "matrix": 3, "delta": 5}),
+        ("metric", {"type": "finite", "matrix": [[0, "nan"], ["nan", 0]], "delta": 5}),
+        ("metric", {"type": "finite", "matrix": [[0, 2], [2, 0]], "delta": "x"}),
+        # a valid finite metric, left with the coordinate terminals below
+        ("metric", {"type": "finite", "matrix": [[0, 2], [2, 0]], "delta": 5}),
     ],
 )
 def test_malformed_instance_json_exits_one(tmp_path, capsys, key, value):
@@ -158,3 +171,39 @@ def test_malformed_instance_json_exits_one(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _write_instance(tmp_path, metric, terminals):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(
+        {"metric": metric, "terminals": terminals, "demands": [[0, 1, 1]]}
+    ))
+    return str(path)
+
+
+def test_solve_three_dimensional_instance(tmp_path, capsys):
+    # The brute-force reference is planar only, so opt is left empty.
+    path = _write_instance(
+        tmp_path, {"type": "euclidean", "dim": 3}, [[0, 0, 0], [2.5, 0, 0]]
+    )
+    out = tmp_path / "run"
+    assert run_cli("solve", "--instance", path, "--out", str(out)) == 0
+    capsys.readouterr()
+    row = json.loads((out / "report.json").read_text())["rows"][0]
+    assert row["cost"] == 2 and row["feasible"] and row["opt"] is None
+
+
+@pytest.mark.parametrize(
+    "metric, terminals",
+    [
+        ({"type": "euclidean", "dim": 3}, [[0, 0, 0], [2.5, 0, 0]]),
+        ({"type": "finite", "matrix": [[0, 3], [3, 0]], "delta": 5}, None),
+    ],
+    ids=["euclidean-3d", "finite"],
+)
+def test_svg_of_non_planar_solution_exits_one(tmp_path, capsys, metric, terminals):
+    path = _write_instance(tmp_path, metric, terminals)
+    assert run_cli("solve", "--instance", path, "--svg",
+                   "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: SVG rendering needs planar coordinates\n"
