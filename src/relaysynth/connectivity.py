@@ -7,11 +7,25 @@ separation oracle of the cut relaxation, and its exact optimum tau_star.
 
 This module is the one cut engine for {0,1,2} demands.  It owns the bead
 copy table of every terminal pair, the pairs crossing a biset, the greedy
-patch and reverse delete over copy counts, and the one Menger check of every
+patch and reverse delete over copy counts, and the Menger check of every
 demand: the element max-flow capped at the demand r, with each Q-node of
 capacity one.  Its min cut is a biset whose boundary nodes cost one each, so
 a violated demand r <= 2 has a witness with at most one node on the boundary,
 the form the cut relaxation needs.
+
+Two engines answer that check, and the caller fixes which one runs:
+
+- On integral graphs one lowlink pass (Tarjan's depth-first search) decides
+  every demand at once, because with r <= 2 a demand fails only when no
+  path joins the pair or one element separates it.  The flow returns the
+  residual-reachable side of its cut, the intersection of all min-cut source
+  sides, so the witness is unique and the lowlink pass returns the same one.
+  It serves first_deficiency (branch and bound, greedy patch, reverse
+  delete) and is_feasible (pruning, degree reduction, brute force).
+- element_maxflow, one flow per demand pair, serves violated_cuts,
+  fractional_feasible and tau_star on fractional capacities, and
+  verify_feasible, so the final check of every emitted solution stays
+  independent of the lowlink pass.
 """
 
 from __future__ import annotations
@@ -96,6 +110,46 @@ def connected_components(edges, nodes=()) -> List[frozenset]:
         seen |= comp
         comps.append(frozenset(comp))
     return comps
+
+
+def _lowlink(adj):
+    """Iterative depth-first search over the multigraph {v: {w: multiplicity}}.
+
+    Returns (order, disc, low, last, parent): the preorder, each node's index
+    in it, the least index one back edge from its subtree reaches, the index
+    of its subtree's last node, and its tree parent (None at a root).  A
+    parallel edge to the parent counts as a back edge.
+    """
+    order: List[int] = []
+    disc: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    last: Dict[int, int] = {}
+    parent: Dict[int, Optional[int]] = {}
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(order)
+        order.append(root)
+        parent[root] = None
+        stack = [(root, iter(adj[root].items()))]
+        while stack:
+            v, it = stack[-1]
+            for w, mult in it:
+                if w not in disc:
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
+                    parent[w] = v
+                    stack.append((w, iter(adj[w].items())))
+                    break
+                if (w != parent[v] or mult > 1) and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                last[v] = len(order) - 1
+                p = parent[v]
+                if p is not None and low[v] < low[p]:
+                    low[p] = low[v]
+    return order, disc, low, last, parent
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +337,111 @@ def _deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolatio
             yield DemandViolation((i, j), r, flow, biset, cut_nodes, cut_edges)
 
 
-def _graph_deficiencies(instance: Instance, solution: SolutionGraph):
-    caps = {e: 1 for e in solution.edges}
-    return _deficiencies(instance, caps, solution.q_nodes(), range(solution.n_nodes))
+def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolation]:
+    """The violations _deficiencies yields, for an integral multigraph ``caps``.
+
+    One lowlink pass decides every demand.  With r <= 2 a demand fails only
+    when no path joins i and j, or when one element separates them: an edge
+    of multiplicity one or a Q-node other than i and j.  Every such element
+    lies on the tree path from i to j.  The cut element_maxflow returns is
+    its residual-reachable side, the intersection of all min-cut source
+    sides, so it is the same for every maximum flow.  The i-sides of the
+    separating elements are nested along the path, so that cut belongs to
+    the first one met from i; an edge comes before its far endpoint, which
+    settles the tie of a multiplicity-one edge entering a separating Q-node.
+    """
+    adj: Dict[int, Dict[int, int]] = {v: {} for v in nodes}
+    for (a, b), c in caps.items():
+        if not isinstance(c, int):
+            raise ConnectivityError("capacity %r of %r is not an integer" % (c, (a, b)))
+        if c > 0:
+            row_a, row_b = adj.setdefault(a, {}), adj.setdefault(b, {})
+            row_a[b] = row_a.get(b, 0) + c
+            row_b[a] = row_b.get(a, 0) + c
+    demands = instance.demand_pairs()
+    for (i, j, _) in demands:
+        adj.setdefault(i, {})
+        adj.setdefault(j, {})
+    order, disc, low, last, parent = _lowlink(adj)
+
+    def subtree(c):
+        return order[disc[c] : last[c] + 1]
+
+    def outside(c):
+        root = c
+        while parent[root] is not None:
+            root = parent[root]
+        return order[disc[root] : disc[c]] + order[last[c] + 1 : last[root] + 1]
+
+    for (i, j, r) in demands:
+        up = [i]
+        while not disc[up[-1]] <= disc[j] <= last[up[-1]] and parent[up[-1]] is not None:
+            up.append(parent[up[-1]])
+        top = up[-1]
+        if not disc[top] <= disc[j] <= last[top]:
+            # No path: top is the root of i's tree, and the cut is the tree.
+            flow, inner, cut_nodes = 0, subtree(top), ()
+        elif r < 2:
+            continue
+        else:
+            down = [j]
+            while down[-1] != top:
+                down.append(parent[down[-1]])
+            path = up + down[-2::-1]
+            for m in range(1, len(path)):
+                a, b = path[m - 1], path[m]
+                c, p = (a, b) if parent[a] == b else (b, a)
+                if low[c] > disc[p]:  # (p, c) is a bridge of multiplicity one
+                    inner = subtree(c) if c == a else outside(c)
+                    cut_nodes = ()
+                    break
+                if b == j or b not in q:
+                    continue
+                if parent[a] == b and low[a] >= disc[b]:
+                    inner, cut_nodes = subtree(a), (b,)
+                    break
+                nxt = path[m + 1]
+                if parent[nxt] == b and low[nxt] >= disc[b]:
+                    # i lies above b, or under a child of b that reaches above it.
+                    inner = outside(b)
+                    for x in adj[b]:
+                        if parent[x] == b and low[x] < disc[b]:
+                            inner += subtree(x)
+                    cut_nodes = (b,)
+                    break
+            else:
+                continue
+            flow = 1
+        inner = frozenset(inner)
+        outer = inner.union(cut_nodes)
+        cut_edges = {
+            (a, b) if a < b else (b, a)
+            for (a, b) in caps
+            if (a in inner and b not in outer) or (b in inner and a not in outer)
+        }
+        yield DemandViolation(
+            (i, j), r, flow, Biset(inner, outer), cut_nodes, tuple(sorted(cut_edges))
+        )
+
+
+def _graph_elements(solution: SolutionGraph):
+    """Unit capacities, Q = B union S and the nodes of a solution graph."""
+    return {e: 1 for e in solution.edges}, solution.q_nodes(), range(solution.n_nodes)
 
 
 def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandViolation]:
-    """Empty list iff every demand is met with B-and-Steiner disjoint paths."""
-    return list(_graph_deficiencies(instance, solution))
+    """Empty list iff every demand is met with B-and-Steiner disjoint paths.
+
+    Runs the element max-flow of every demand, not the lowlink pass that
+    is_feasible shares with the search, so the final check of an emitted
+    solution stays independent of the fast path.
+    """
+    return list(_deficiencies(instance, *_graph_elements(solution)))
 
 
 def is_feasible(instance: Instance, solution: SolutionGraph) -> bool:
-    return next(_graph_deficiencies(instance, solution), None) is None
+    """True iff every demand is met; one lowlink pass over the solution graph."""
+    return next(_unit_deficiencies(instance, *_graph_elements(solution)), None) is None
 
 
 def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
@@ -404,8 +551,14 @@ def violated_cuts(instance: Instance, caps) -> Iterator[DemandViolation]:
 
 def first_deficiency(instance: Instance, caps) -> Optional[DemandViolation]:
     """First demand the terminal multigraph ``caps`` misses, with unstable
-    terminals as the only node-capacitated elements; None when all are met."""
-    return next(violated_cuts(instance, caps), None)
+    terminals as the only node-capacitated elements; None when all are met.
+
+    ``caps`` maps pairs to integer multiplicities, and ConnectivityError is
+    raised for any other capacity: the answer comes from one lowlink pass,
+    which reads an edge as separating only when its multiplicity is one.
+    It equals the first cut violated_cuts yields on the same capacities.
+    """
+    return next(_unit_deficiencies(instance, caps, instance.unstable, range(instance.n)), None)
 
 
 def greedy_patch(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[int, int], int]:
@@ -443,53 +596,28 @@ def reverse_delete(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[i
 
 
 def blocks(edges, nodes=()):
-    """2-connected components and bridges; every edge lands in exactly one block."""
-    adj = adjacency_of(_edge_pairs(edges), nodes)
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    result: List[frozenset] = []
-    timer = [0]
+    """2-connected components and bridges; every edge lands in exactly one block.
 
-    for root in sorted(adj):
-        if root in disc:
-            continue
-        stack = [(root, None, iter(sorted(adj[root])))]
-        estack: List[Tuple[int, int]] = []
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    parent = None  # skip the tree edge back once (no multiedges)
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    estack.append((v, w))
-                    stack.append((w, v, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    comp = set()
-                    while estack:
-                        a, b = estack.pop()
-                        comp.add(tuple(sorted((a, b))))
-                        if (a, b) == (pv, v) or (b, a) == (pv, v):
-                            break
-                    if comp:
-                        result.append(frozenset(comp))
-    return sorted(result, key=lambda blk: sorted(blk))
+    A child c opens a new block when low[c] >= disc[parent[c]] and otherwise
+    shares its parent's block; an edge joins the block of its deeper end.
+    Repeated pairs collapse to one edge.
+    """
+    pairs = [(a, b) for a, b in _edge_pairs(edges) if a != b]
+    adj: Dict[int, Dict[int, int]] = {v: {} for v in nodes}
+    for a, b in pairs:
+        adj.setdefault(a, {})[b] = 1
+        adj.setdefault(b, {})[a] = 1
+    order, disc, low, _, parent = _lowlink(adj)
+    block: Dict[int, int] = {}
+    for v in order:
+        p = parent[v]
+        if p is not None:
+            block[v] = v if low[v] >= disc[p] else block[p]
+    found: Dict[int, Set[Tuple[int, int]]] = {}
+    for a, b in pairs:
+        deeper = a if disc[a] > disc[b] else b
+        found.setdefault(block[deeper], set()).add((a, b))
+    return sorted((frozenset(blk) for blk in found.values()), key=lambda blk: sorted(blk))
 
 
 def r_components(edges, terminals: Iterable[int], nodes=()):
@@ -663,7 +791,7 @@ def fractional_feasible(
     instance: Instance, fractional: FractionalBeadSolution
 ) -> Optional[DemandViolation]:
     """Separation over the cut relaxation: the first violated cut, or None."""
-    return first_deficiency(instance, fractional.pair_capacities())
+    return next(violated_cuts(instance, fractional.pair_capacities()), None)
 
 
 # ---------------------------------------------------------------------------

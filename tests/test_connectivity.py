@@ -9,12 +9,15 @@ from scipy.optimize import linprog
 from relaysynth.beads import realize, tau_integral
 from relaysynth.connectivity import (
     ConnectivityError,
+    _deficiencies,
+    _unit_deficiencies,
     FractionalBeadSolution,
     NonTreeComponentError,
     WitnessEdge,
     blocks,
     dfs_cycle,
     element_maxflow,
+    first_deficiency,
     fractional_feasible,
     half_integral_witness,
     is_feasible,
@@ -147,6 +150,74 @@ def test_capped_flow_below_limit_equals_uncapped_flow():
 
 
 # ---------------------------------------------------------------------------
+# The lowlink check against the element flow
+
+
+def _random_multigraph(rng, n_terminals):
+    """Seeded terminals, demands and multiplicities 0-3 over up to 30 nodes."""
+    pts = [Point.at(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(n_terminals)]
+    demands = {
+        (i, j): rng.choice((1, 2, 2))
+        for i in range(n_terminals)
+        for j in range(i + 1, n_terminals)
+        if rng.random() < 0.5
+    } or {(0, n_terminals - 1): 2}
+    inst = make_instance(pts, demands, E2)
+    n = n_terminals + rng.randint(0, 30 - n_terminals)
+    density = rng.choice((1.0, 2.0, 3.5)) / n
+    caps = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < density:
+                caps[(a, b) if rng.random() < 0.5 else (b, a)] = rng.choice((0, 1, 1, 1, 2, 3))
+    q = {v for v in range(n) if rng.random() < 0.4}
+    # Extra nodes past the last key stay isolated.
+    return inst, caps, q, range(n + rng.randint(0, 2))
+
+
+def _also_separates(caps, q, cut):
+    """The far end of a flow-1 edge cut is a Q-node that separates the pair too."""
+    i, j = cut.pair
+    inner = cut.witness.inner
+    graph = nx.Graph([k for k, c in caps.items() if c > 0])
+    graph.add_nodes_from((i, j))
+    for (a, b), c in caps.items():
+        far = b if a in inner else a
+        if c > 0 and (a in inner) != (b in inner) and far in q - {i, j}:
+            graph.remove_node(far)
+            return not nx.has_path(graph, i, j)
+    return False
+
+
+def test_unit_deficiencies_match_element_flow():
+    # The lowlink pass must yield exactly the violations the capped element
+    # flow yields, cut for cut, on multigraphs with zero-capacity keys,
+    # parallel edges, isolated nodes and Q sometimes holding an endpoint.
+    rng = random.Random(4099)
+    kinds = set()
+    for _ in range(400):
+        inst, caps, q, nodes = _random_multigraph(rng, rng.randint(2, 8))
+        fast = list(_unit_deficiencies(inst, caps, q, nodes))
+        assert fast == list(_deficiencies(inst, caps, q, nodes))
+        for cut in fast:
+            if cut.achieved == 0:
+                kinds.add("no path")
+            elif cut.cut_nodes:
+                kinds.add("node")
+            else:
+                kinds.add("edge")
+                if _also_separates(caps, q, cut):
+                    kinds.add("edge-node tie")
+    assert kinds == {"no path", "node", "edge", "edge-node tie"}
+
+
+def test_first_deficiency_rejects_fractional_capacity():
+    inst = make_instance([Point.at(0, 0), Point.at(0.5, 0)], {(0, 1): 1}, E2)
+    with pytest.raises(ConnectivityError):
+        first_deficiency(inst, {(0, 1): Fraction(1, 2)})
+
+
+# ---------------------------------------------------------------------------
 # verify_feasible / prune_minimal
 
 
@@ -230,6 +301,56 @@ def test_prune_output_is_edge_and_node_critical():
             assert not is_feasible(inst, pruned.without_steiner(node))
 
 
+def _random_solution(rng):
+    """Seeded terminals (some unstable), Steiner points and a random edge subset."""
+    n = rng.randint(3, 6)
+    pts = [Point.at(rng.uniform(0, 2.5), rng.uniform(0, 2.5)) for _ in range(n)]
+    demands = {
+        (i, j): rng.choice((1, 2))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    } or {(0, 1): 2}
+    unstable = [v for v in range(n) if rng.random() < 0.4]
+    inst = make_instance(pts, demands, E2, unstable=unstable)
+    steiner = [Point.at(rng.uniform(0, 2.5), rng.uniform(0, 2.5)) for _ in range(rng.randint(0, 12))]
+    full = SolutionGraph.build(inst, steiner)
+    keep = rng.choice((1.0, 0.9, 0.7))
+    edges = {e: l for e, l in full.edges.items() if rng.random() < keep}
+    return inst, SolutionGraph(inst, steiner, edges)
+
+
+def test_is_feasible_matches_flow_check():
+    # is_feasible reads the lowlink pass; verify_feasible runs the element
+    # flow of every demand.  Their verdicts must agree.
+    rng = random.Random(71)
+    verdicts = set()
+    for _ in range(300):
+        inst, sol = _random_solution(rng)
+        feasible = is_feasible(inst, sol)
+        assert feasible == (not verify_feasible(inst, sol))
+        verdicts.add(feasible)
+    assert verdicts == {True, False}
+
+
+def test_prune_output_is_critical_under_flow_check():
+    # Pruning decides with is_feasible; its output is checked here with the
+    # independent flow check: every edge and every Steiner node is needed.
+    rng = random.Random(73)
+    pruned_count = 0
+    while pruned_count < 25:
+        inst, sol = _random_solution(rng)
+        if verify_feasible(inst, sol):
+            continue
+        pruned = prune_minimal(inst, sol)
+        pruned_count += 1
+        assert not verify_feasible(inst, pruned)
+        for edge in pruned.edges:
+            assert verify_feasible(inst, pruned.without_edge(edge))
+        for node in pruned.steiner_ids():
+            assert verify_feasible(inst, pruned.without_steiner(node))
+
+
 def test_prune_rejects_infeasible_input():
     inst = make_instance([Point.at(0, 0), Point.at(3, 0)], {(0, 1): 1}, E2)
     with pytest.raises(ConnectivityError):
@@ -279,6 +400,28 @@ def test_blocks_match_networkx_on_random_graphs():
             for comp in nx.biconnected_component_edges(g)
         }
         assert got == want
+
+
+def test_blocks_collapse_repeated_pairs_like_networkx():
+    # Repeated pairs, in either orientation, collapse to one edge; isolated
+    # nodes give no block.  Sparse graphs up to 30 nodes have many cut nodes.
+    rng = random.Random(43)
+    for _ in range(150):
+        n = rng.randint(2, 30)
+        density = rng.choice((1.2, 2.0, 3.0)) / n
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    edges += [(i, j) if rng.random() < 0.5 else (j, i)] * rng.randint(1, 3)
+        rng.shuffle(edges)
+        g = nx.Graph(edges)
+        want = {
+            frozenset(tuple(sorted(e)) for e in comp)
+            for comp in nx.biconnected_component_edges(g)
+        }
+        got = blocks(edges, nodes=range(n + 2))
+        assert set(got) == want and len(got) == len(want)
 
 
 def test_r_components_star():
