@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, FrozenSet, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
-from .connectivity import UnionFind, fractional_feasible, r_components
+from .connectivity import UnionFind, adjacency_of, fractional_feasible, r_components
 from .decomposition import DecompositionError, rank_certificate
 from .instances import Instance, MetricSpace, Point, make_instance
 from .local_replacement import (
@@ -64,17 +64,15 @@ def random_tree(rng: random.Random, n: int, max_degree: int = 0):
     return edges
 
 
-def random_connected_hypergraph(
-    rng: random.Random, n: int, extra_edges: int, cost_lo: int = 1, cost_hi: int = 9
-):
+def random_connected_hypergraph(rng: random.Random, n: int, extra_edges: int):
     """A spanning tree of costed pair edges plus random costed hyperedges."""
     drawn = []
     for u, v in random_tree(rng, n):
-        drawn.append(((u, v), rng.randint(cost_lo, cost_hi)))
+        drawn.append(((u, v), rng.randint(1, 9)))
     for _ in range(extra_edges):
         size = rng.randint(2, n)
         nodes = tuple(sorted(rng.sample(range(n), size)))
-        drawn.append((nodes, rng.randint(cost_lo, cost_hi)))
+        drawn.append((nodes, rng.randint(1, 9)))
     # Collapse duplicate node sets, keeping the cheaper cost.
     best: Dict[FrozenSet[int], int] = {}
     for nodes, cost in drawn:
@@ -211,10 +209,7 @@ def audit_decomposition(
     for t in range(trials):
         n = rng.randint(4, 24)
         edges = random_tree(rng, n, max_degree=5)
-        adj: Dict[int, Set[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+        adj = adjacency_of(edges)
         leaves = {v for v in range(n) if len(adj[v]) == 1}
         terminals = set(leaves)
         for v in range(n):

@@ -25,7 +25,9 @@ from .connectivity import (
     reverse_delete,
     tau_star,
 )
-from .instances import EPS_GEO, Instance, Point, SolutionGraph, build_unit_disk_graph
+from .instances import Instance, Point, SolutionGraph, build_unit_disk_graph
+
+_NODE_CAP = 200_000  # node bound of tau_integral's branch and bound
 
 
 class BeadError(ValueError):
@@ -85,9 +87,7 @@ class BeadPlacement:
         return len(self.points)
 
 
-def realize(
-    instance: Instance, selected: Iterable[BeadEdge], eps_geo: float = EPS_GEO
-) -> BeadPlacement:
+def realize(instance: Instance, selected: Iterable[BeadEdge]) -> BeadPlacement:
     """Place the beads of the selected edges and build the resulting graph.
 
     Euclidean beads are equally spaced interior points of the segment;
@@ -109,11 +109,11 @@ def realize(
                 points.append(
                     Point.at(*(a + frac * (b - a) for a, b in zip(pu, pv)))
                 )
-        solution = SolutionGraph.build(instance, points, eps_geo)
+        solution = SolutionGraph.build(instance, points)
         return BeadPlacement(selected, tuple(points), solution)
 
     # Finite metric: abstract bead chains.
-    edges = dict(build_unit_disk_graph(instance.terminals, instance.metric, eps_geo))
+    edges = dict(build_unit_disk_graph(instance.terminals, instance.metric))
     next_id = instance.n
     abstract = False
     for e in selected:
@@ -153,7 +153,6 @@ def tau_integral(
     k: Optional[int] = None,
     *,
     r_cap: int = 10,
-    node_cap: int = 200_000,
     time_cap: Optional[float] = None,
 ) -> BeadSolveResult:
     """Minimum-cost edge multiset meeting every demand, by branch and bound.
@@ -190,7 +189,7 @@ def tau_integral(
 
     def search(counts, cost):
         nodes_seen[0] += 1
-        if nodes_seen[0] > node_cap or (
+        if nodes_seen[0] > _NODE_CAP or (
             deadline is not None and time.monotonic() > deadline
         ):
             raise _SearchStop

@@ -1,8 +1,8 @@
 """Command-line front end: instance generation, solving, audits, and sweeps.
 
 Exit codes: 0 when every emitted solution verifies and every audited
-inequality holds, 2 on audit violations or infeasible output, 1 on usage or
-I/O errors.
+inequality holds, 1 on usage, instance, terminal-cap or I/O errors, 2 on audit
+violations, infeasible output or any other broken guarantee.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from .audits import AUDITS
-from .beads import SizeCapError
-from .connectivity import tau_star, verify_feasible
+from .beads import BeadError, SizeCapError
+from .connectivity import ConnectivityError, tau_star, verify_feasible
+from .decomposition import DecompositionError
 from .generators import ExperimentConfig, generate
 from .instances import Instance, InstanceError, parse_instance, serialize_instance
-from .local_replacement import st_msp_scheme
+from .local_replacement import HypergraphError, st_msp_scheme
 from .reporting import RunReport, instance_hash, render_svg
+from .simplex import SimplexError
 from .steiner import OracleBudgetError, SchemeConfig, brute_force_opt, mst_baseline
 from .survivable import solve_sn_msp_012
 
@@ -313,6 +315,16 @@ def main(argv=None) -> int:
     except (InstanceError, SizeCapError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except (
+        ConnectivityError,
+        BeadError,
+        HypergraphError,
+        SimplexError,
+        DecompositionError,
+        OracleBudgetError,
+    ) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     return 1
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .connectivity import UnionFind
+from .connectivity import UnionFind, adjacency_of, r_components
 
 
 class DecompositionError(ValueError):
@@ -440,14 +440,6 @@ class DecompositionCertificate:
     p: int
 
 
-def _tree_adjacency(edges) -> Dict[int, Set[int]]:
-    adj: Dict[int, Set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
-
-
 def _span_support(adj, targets: FrozenSet[int], steiner: Set[int]) -> FrozenSet[int]:
     """Steiner nodes on the minimal subtree spanning the target terminals."""
     alive = {v: set(nb) for v, nb in adj.items()}
@@ -488,7 +480,7 @@ def rank_certificate(
         nodes.update((u, v))
     if len(pairs) != len(nodes) - 1:
         raise DecompositionError("certificate input must be a tree")
-    adj = _tree_adjacency(pairs)
+    adj = adjacency_of(pairs)
     for v, nb in adj.items():
         if len(nb) > delta:
             raise DecompositionError("node %r exceeds degree bound %d" % (v, delta))
@@ -502,22 +494,9 @@ def rank_certificate(
         if u in terminals and v in terminals:
             hyperedges.append(frozenset((u, v)))
 
-    seen: Set[int] = set()
-    for start in sorted(steiner):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in steiner and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        attached = sorted(
-            t for t in terminals if any(n in comp for n in adj.get(t, ()))
-        )
+    for comp_nodes, comp_edges in r_components(pairs, terminals):
+        comp = comp_nodes - terminals
+        attached = sorted(comp_nodes & terminals)
         if len(attached) < 2:
             continue  # pendant branch: no demand crossing, no hyperedge needed
         boundary_relays = sorted(
@@ -528,7 +507,7 @@ def rank_certificate(
             hyperedges.append(frozenset(attached))
             continue
         inner_edges = [
-            (u, v, 1) for u, v in pairs if u in comp and v in comp
+            (u, v, 1) for u, v in sorted(comp_edges) if u in comp and v in comp
         ]
         norm = normalize_binary(inner_edges, boundary_relays)
         mapping = proper_mapping(norm)

@@ -151,20 +151,20 @@ def pairwise_distance(u: Point, v: Point, metric: MetricSpace) -> Number:
     return metric.matrix[u.index][v.index]
 
 
-def within_unit(d: Number, eps_geo: float = EPS_GEO) -> bool:
+def within_unit(d: Number) -> bool:
     if isinstance(d, Fraction):
-        return d <= 1 + Fraction(eps_geo)
-    return d <= 1.0 + eps_geo
+        return d <= 1 + Fraction(EPS_GEO)
+    return d <= 1.0 + EPS_GEO
 
 
-def bead_count(d: Number, eps_geo: float = EPS_GEO) -> int:
+def bead_count(d: Number) -> int:
     """Interior points needed to bridge distance d with unit hops: max(ceil(d)-1, 0).
 
     The eps guard keeps ceilings stable at exact integer distances.
     """
     if isinstance(d, Fraction):
-        return max(math.ceil(d - Fraction(eps_geo)) - 1, 0)
-    return max(math.ceil(d - eps_geo) - 1, 0)
+        return max(math.ceil(d - Fraction(EPS_GEO)) - 1, 0)
+    return max(math.ceil(d - EPS_GEO) - 1, 0)
 
 
 def _canon_pair(i: int, j: int) -> Tuple[int, int]:
@@ -260,15 +260,11 @@ def all_pairs_demands(n: int, r: int) -> dict:
     return {(i, j): r for i in range(n) for j in range(i + 1, n)}
 
 
-def build_unit_disk_graph(
-    points: Sequence[Point], metric: MetricSpace, eps_geo: float = EPS_GEO
-):
+def build_unit_disk_graph(points: Sequence[Point], metric: MetricSpace):
     """Edge map {(i,j): distance} over all point pairs at distance <= 1+eps.
 
     Coincident points get a zero-length edge; self loops are never created.
     """
-    if eps_geo < 0:
-        raise InstanceError("eps_geo must be nonnegative")
     for p in points:
         validate_point(p, metric)
     edges = {}
@@ -279,7 +275,7 @@ def build_unit_disk_graph(
             if points[j].is_abstract:
                 continue
             d = pairwise_distance(points[i], points[j], metric)
-            if within_unit(d, eps_geo):
+            if within_unit(d):
                 edges[(i, j)] = d
     return edges
 
@@ -303,13 +299,13 @@ class SolutionGraph:
                 raise InstanceError("edge (%d,%d) out of range" % (a, b))
 
     @classmethod
-    def build(cls, instance: Instance, steiner=(), eps_geo: float = EPS_GEO):
+    def build(cls, instance: Instance, steiner=()):
         points = list(instance.terminals) + list(steiner)
         if any(p.is_abstract for p in steiner):
             raise InstanceError(
                 "abstract beads need explicit adjacencies; use the bead realizer"
             )
-        edges = build_unit_disk_graph(points, instance.metric, eps_geo)
+        edges = build_unit_disk_graph(points, instance.metric)
         return cls(instance, steiner, edges)
 
     @property

@@ -14,7 +14,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .beads import BeadEdge, realize
 from .connectivity import UnionFind, verify_feasible
-from .instances import EPS_GEO, Instance, Point, SolutionGraph
+from .instances import Instance, Point, SolutionGraph
 from .steiner import (
     ComponentHypergraph,
     SchemeConfig,
@@ -284,8 +284,7 @@ class SchemeResult:
 
 
 def st_msp_scheme(
-    instance: Instance, config: Optional[SchemeConfig] = None,
-    eps_geo: float = EPS_GEO,
+    instance: Instance, config: Optional[SchemeConfig] = None
 ) -> SchemeResult:
     """Hypergraph spanning pipeline: oracle costs, MST start, replacement, realize."""
     config = config or SchemeConfig()
@@ -311,9 +310,7 @@ def st_msp_scheme(
     for edge in result.all_edges():
         if edge.is_pair:
             i, j = sorted(edge.nodes)
-            witness = realize(
-                instance, [BeadEdge(i, j, 0, int(edge.cost))], eps_geo
-            ).points
+            witness = realize(instance, [BeadEdge(i, j, 0, int(edge.cost))]).points
         else:
             witness = witness_of[edge.nodes].witness
         for p in witness:
@@ -323,7 +320,7 @@ def st_msp_scheme(
             seen.add(key)
             points.append(p)
 
-    solution = SolutionGraph.build(instance, points, eps_geo)
+    solution = SolutionGraph.build(instance, points)
     bad = verify_feasible(instance, solution)
     if bad:
         raise HypergraphError("scheme produced an infeasible union: %r" % (bad[0],))

@@ -74,8 +74,9 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def render_svg(solution: SolutionGraph, scale: float = 80.0) -> str:
+def render_svg(solution: SolutionGraph) -> str:
     """Static picture: edges, terminals (unstable highlighted), relay points."""
+    scale = 80.0  # pixels per unit length
     metric = solution.instance.metric
     if solution.abstract or metric.kind != "euclidean" or metric.dim != 2:
         raise InstanceError("SVG rendering needs planar coordinates")

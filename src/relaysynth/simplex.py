@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 _ZERO = Fraction(0)
 _DANTZIG_BUDGET = 200
+_MAX_PIVOTS = 20_000  # pivot bound of solve_min_cover
 
 
 class SimplexError(RuntimeError):
@@ -39,7 +40,6 @@ def solve_min_cover(
     costs: Sequence[Fraction],
     upper: Sequence[Fraction],
     rows: Sequence[CoverRow],
-    max_pivots: int = 20000,
 ) -> Tuple[Fraction, List[Fraction]]:
     """Return (optimal value, x) for min c.x, A x >= b, 0 <= x <= u."""
     n = len(costs)
@@ -76,7 +76,7 @@ def solve_min_cover(
 
     pivots = 0
     while True:
-        if pivots > max_pivots:
+        if pivots > _MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
         use_bland = pivots >= _DANTZIG_BUDGET
 

@@ -25,7 +25,10 @@ from .instances import (
     Point,
     SolutionGraph,
     build_unit_disk_graph,
+    within_unit,
 )
+
+_MAX_STEINER = 12  # relay-count bound of the component oracle's deepening
 
 
 class OracleBudgetError(RuntimeError):
@@ -40,7 +43,6 @@ class SchemeConfig:
     candidate_depth: int = 2
     grid_resolution: Optional[float] = None
     max_candidates: int = 1500
-    max_steiner: int = 12
     state_cap: int = 400_000
     hypergraph_budget: int = 2000
 
@@ -76,11 +78,11 @@ def mst_pairs(
     return [(cost, i, j) for cost, i, j in edges if joined.union(i, j)]
 
 
-def mst_baseline(instance: Instance, eps_geo: float = EPS_GEO) -> SolutionGraph:
+def mst_baseline(instance: Instance) -> SolutionGraph:
     """Realize the bead MST; a feasible all-pairs tree with |S| = sum of costs."""
     require_all_pairs_unit_demands(instance)
     selected = [BeadEdge(i, j, 0, cost) for cost, i, j in mst_pairs(instance)]
-    placement = realize(instance, selected, eps_geo)
+    placement = realize(instance, selected)
     bad = verify_feasible(instance, placement.solution)
     if bad:
         raise InstanceError("bead MST unexpectedly infeasible: %r" % (bad[0],))
@@ -106,7 +108,7 @@ def _round_key(coords: Sequence[float]) -> Tuple[float, ...]:
 
 
 def build_candidate_universe(
-    instance: Instance, config: SchemeConfig, eps_geo: float = EPS_GEO
+    instance: Instance, config: SchemeConfig
 ) -> CandidateUniverse:
     metric = instance.metric
     if metric.kind == "finite":
@@ -115,7 +117,7 @@ def build_candidate_universe(
         adj = np.zeros((size, size), dtype=bool)
         for i in range(size):
             for j in range(size):
-                if i != j and metric.matrix[i][j] <= 1 + eps_geo:
+                if i != j and within_unit(metric.matrix[i][j]):
                     adj[i][j] = True
         term_ids = [p.index for p in instance.terminals]
         order = term_ids + [i for i in range(size) if i not in set(term_ids)]
@@ -179,7 +181,7 @@ def build_candidate_universe(
     if not truncated and len(coords) >= 2:
         a, b = pair_arrays(coords)
         d = np.sqrt(((b - a) ** 2).sum(axis=1))
-        counts = np.maximum(np.ceil(d - eps_geo).astype(int) - 1, 0)
+        counts = np.maximum(np.ceil(d - EPS_GEO).astype(int) - 1, 0)
         for c in sorted(set(counts.tolist()) - {0}):
             sel = counts == c
             aa, bb = a[sel], b[sel]
@@ -200,7 +202,7 @@ def build_candidate_universe(
     arr = np.array(coords)
     diff = arr[:, None, :] - arr[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    adj = dist <= 1.0 + eps_geo
+    adj = dist <= 1.0 + EPS_GEO
     np.fill_diagonal(adj, False)
     points = tuple(Point.at(*c) for c in coords)
     return CandidateUniverse(points, instance.n, adj, truncated)
@@ -305,7 +307,7 @@ def exact_component_oracle(
     def accept(chosen):
         return _connects(adj, list(subset) + list(chosen), subset)
 
-    for size in range(0, min(ub, config.max_steiner)):
+    for size in range(0, min(ub, _MAX_STEINER)):
         try:
             hit = _deepening_search(
                 universe, list(subset), size, config.state_cap, accept, False
@@ -315,7 +317,7 @@ def exact_component_oracle(
             break
         if hit is not None:
             return OracleResult(size, tuple(universe.points[c] for c in hit), exact)
-    if ub > config.max_steiner:
+    if ub > _MAX_STEINER:
         exact = False
     return OracleResult(ub, fallback_points, exact)
 
@@ -346,13 +348,12 @@ def _witness_connects(
     instance: Instance,
     witness: Tuple[Point, ...],
     subset: FrozenSet[int],
-    eps_geo: float = EPS_GEO,
 ) -> bool:
     pts = [instance.terminals[t] for t in sorted(subset)] + list(witness)
     if any(p.is_abstract for p in pts):
         return False
     joined = UnionFind(range(len(pts)))
-    for a, b in build_unit_disk_graph(pts, instance.metric, eps_geo):
+    for a, b in build_unit_disk_graph(pts, instance.metric):
         joined.union(a, b)
     return len({joined.find(i) for i in range(len(subset))}) == 1
 

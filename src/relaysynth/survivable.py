@@ -30,7 +30,9 @@ from .connectivity import (
     tau_star,
     verify_feasible,
 )
-from .instances import EPS_GEO, Instance, InstanceError, SolutionGraph, pairwise_distance
+from .instances import Instance, InstanceError, SolutionGraph, pairwise_distance, within_unit
+
+_MAX_ROUNDS = 10_000  # swap-round bound of degree_reduce
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,6 @@ def solve_sn_msp_012(
     backend: str = "exact",
     *,
     include_witness: bool = True,
-    eps_geo: float = EPS_GEO,
     opt: Optional[int] = None,
     **backend_caps,
 ) -> SnReport:
@@ -181,7 +182,7 @@ def solve_sn_msp_012(
     else:
         raise InstanceError("unknown backend %r" % (backend,))
 
-    placement = realize(instance, result.selected, eps_geo)
+    placement = realize(instance, result.selected)
     bad = verify_feasible(instance, placement.solution)
     if bad:
         raise ConnectivityError("backend emitted an infeasible selection: %r" % (bad[0],))
@@ -225,9 +226,6 @@ class DegreeReduceResult:
 def degree_reduce(
     instance: Instance,
     solution: SolutionGraph,
-    *,
-    eps_geo: float = EPS_GEO,
-    max_rounds: int = 10_000,
 ) -> DegreeReduceResult:
     """Shorten-and-swap until every relay degree is at most the packing bound.
 
@@ -245,7 +243,7 @@ def degree_reduce(
     graph = solution
     swaps = 0
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         adj = graph.adjacency()
         over = [
             s
@@ -262,7 +260,7 @@ def degree_reduce(
                 dab = pairwise_distance(graph.point_of(a), graph.point_of(b), metric)
                 dsa = graph.edges.get(tuple(sorted((s, a))))
                 dsb = graph.edges.get(tuple(sorted((s, b))))
-                if dab > 1 + eps_geo:
+                if not within_unit(dab):
                     continue
                 if not dab < max(dsa, dsb):
                     continue

@@ -3,8 +3,15 @@ import math
 
 import pytest
 
+import relaysynth.cli
+from relaysynth.beads import BeadError
 from relaysynth.cli import main
+from relaysynth.connectivity import ConnectivityError, NonTreeComponentError
+from relaysynth.decomposition import DecompositionError
+from relaysynth.local_replacement import HypergraphError
 from relaysynth.reporting import CSV_COLUMNS
+from relaysynth.simplex import SimplexError
+from relaysynth.steiner import OracleBudgetError
 
 
 def run_cli(*argv):
@@ -207,3 +214,26 @@ def test_svg_of_non_planar_solution_exits_one(tmp_path, capsys, metric, terminal
                    "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err == "error: SVG rendering needs planar coordinates\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ConnectivityError,
+        NonTreeComponentError,
+        BeadError,
+        HypergraphError,
+        SimplexError,
+        DecompositionError,
+        OracleBudgetError,
+    ],
+)
+def test_broken_guarantee_exits_two(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("guarantee broken")
+
+    monkeypatch.setattr(relaysynth.cli, "solve_sn_msp_012", broken)
+    assert run_cli("solve", "--family", "square", "--algo", "sn012") == 2
+    err = capsys.readouterr().err
+    assert err == "error: guarantee broken\n"
+    assert "Traceback" not in err

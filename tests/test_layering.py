@@ -26,3 +26,49 @@ def _private_imports(path: Path):
 def test_no_module_imports_a_private_name_from_another():
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_imports(path)]
     assert found == []
+
+
+# Settings with one value in use are module constants, not parameters.
+RETIRED_PARAMETERS = {
+    "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
+    "max_steiner",
+}
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_function_takes_a_retired_parameter():
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg in RETIRED_PARAMETERS:
+                        found.append("%s:%d %s" % (path.name, arg.lineno, arg.arg))
+            elif isinstance(node, ast.ClassDef):  # dataclass fields are settings too
+                for stmt in node.body:
+                    if (
+                        isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id in RETIRED_PARAMETERS
+                    ):
+                        found.append("%s:%d %s" % (path.name, stmt.lineno, stmt.target.id))
+    assert found == []
+
+
+def test_unit_disk_tolerance_is_read_in_two_modules_only():
+    # instances.py owns the scalar predicates; steiner.py's numpy copy of them
+    # is the one other reader.  __init__.py only re-exports the constant.
+    readers = set()
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "EPS_GEO":
+                readers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                if any(alias.name == "EPS_GEO" for alias in node.names):
+                    readers.add(path.name)
+    assert readers <= {"instances.py", "steiner.py"}

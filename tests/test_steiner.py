@@ -1,20 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from relaysynth.connectivity import is_feasible
 from relaysynth.instances import (
+    EPS_GEO,
     InstanceError,
     MetricSpace,
     Point,
     all_pairs_demands,
+    build_unit_disk_graph,
     make_instance,
 )
 from relaysynth.steiner import (
     OracleBudgetError,
     SchemeConfig,
     brute_force_opt,
+    build_candidate_universe,
     build_component_hypergraph,
     exact_component_oracle,
     mst_baseline,
@@ -190,3 +194,48 @@ def test_finite_metric_universe_uses_matrix_nodes():
     res = exact_component_oracle(inst, [0, 1, 2], SchemeConfig(k=3))
     assert res.cost == 1  # the hub node connects all three terminals
     assert res.witness[0].index == 3
+
+
+def _unit_disk_relation(universe, metric):
+    size = len(universe.points)
+    rel = np.zeros((size, size), dtype=bool)
+    for i, j in build_unit_disk_graph(universe.points, metric):
+        rel[i, j] = rel[j, i] = True
+    return rel
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(seed):
+    # The numpy relation of the universe and the scalar unit-disk predicate
+    # must agree, also for a terminal pair planted right at the tolerance.
+    rng = random.Random(seed)
+    offset = rng.choice((-EPS_GEO / 2, EPS_GEO / 2, 2 * EPS_GEO))
+    x, y = rng.uniform(0, 3), rng.uniform(0, 3)
+    theta = rng.uniform(0, 2 * math.pi)
+    r = 1 + offset
+    pts = [Point.at(x, y), Point.at(x + r * math.cos(theta), y + r * math.sin(theta))]
+    pts += [Point.at(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(2)]
+    inst = make_instance(pts, all_pairs_demands(4, 1), E2)
+    universe = build_candidate_universe(
+        inst, SchemeConfig(k=3, candidate_depth=1, max_candidates=200)
+    )
+    assert bool(universe.adjacency[0, 1]) == (offset < EPS_GEO)
+    assert np.array_equal(universe.adjacency, _unit_disk_relation(universe, E2))
+
+    # A finite metric with off-diagonal entries in [1, 2] is always a metric.
+    near = 1 + 1e-12
+    size = 6
+    matrix = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            d = rng.choice((1, near, 1 + 1e-8, 1.5, 2))
+            matrix[i][j] = matrix[j][i] = d
+    matrix[0][1] = matrix[1][0] = near
+    fin = MetricSpace.finite(matrix, delta=5)
+    term_ids = rng.sample(range(1, size), 2) + [0]
+    rng.shuffle(term_ids)
+    inst = make_instance([Point.node(i) for i in term_ids], all_pairs_demands(3, 1), fin)
+    universe = build_candidate_universe(inst, SchemeConfig(k=3))
+    assert np.array_equal(universe.adjacency, _unit_disk_relation(universe, fin))
+    ids = [p.index for p in universe.points]
+    assert universe.adjacency[ids.index(0), ids.index(1)]
