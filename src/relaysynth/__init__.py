@@ -6,6 +6,7 @@ points so that the unit-disk graph over terminals plus relays carries the
 demanded number of edge-disjoint, relay-disjoint paths.
 """
 
+from .errors import RelaysynthError
 from .instances import (
     EPS_GEO,
     Instance,

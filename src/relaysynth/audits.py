@@ -27,6 +27,8 @@ from .local_replacement import (
 )
 from .survivable import solve_sn_msp_012
 
+_RANK_KS = (8, 16)  # component size caps k that audit_decomposition alternates
+
 
 @dataclass(frozen=True)
 class AuditOutcome:
@@ -200,9 +202,7 @@ def audit_replacement_bound(trials: int = 200, seed: int = 1) -> AuditOutcome:
     return AuditOutcome("replacement-bound", trials, tuple(violations))
 
 
-def audit_decomposition(
-    trials: int = 200, seed: int = 2, ks: Sequence[int] = (8, 16)
-) -> AuditOutcome:
+def audit_decomposition(trials: int = 200, seed: int = 2) -> AuditOutcome:
     """Random degree-capped trees admit rank certificates within the budget."""
     rng = random.Random(seed)
     violations = []
@@ -217,7 +217,7 @@ def audit_decomposition(
                 terminals.add(v)
         if len(terminals) < 2:
             continue
-        k = ks[t % len(ks)]
+        k = _RANK_KS[t % len(_RANK_KS)]
         try:
             cert = rank_certificate(edges, terminals, 5, k)
         except DecompositionError as exc:
@@ -249,16 +249,14 @@ def random_survivable_instance(
     return make_instance(pts, demands, MetricSpace.euclidean(2), unstable=unstable)
 
 
-def audit_witness(
-    trials: int = 100, seed: int = 3, n_max: int = 8, box: float = 4.0
-) -> AuditOutcome:
+def audit_witness(trials: int = 100, seed: int = 3) -> AuditOutcome:
     """Pipeline sweep: exact backend solutions verify, dominate tau_star, and
     their pruned forms carry a feasible half-integral witness within the
     packing budget; Steiner components stay trees with single attachments."""
     rng = random.Random(seed)
     violations = []
     for t in range(trials):
-        inst = random_survivable_instance(rng, n_max, box)
+        inst = random_survivable_instance(rng)
         delta = inst.metric.delta
         try:
             report = solve_sn_msp_012(inst, "exact", include_witness=True)

@@ -10,7 +10,6 @@ B-disjoint paths, which also makes the realization feasible.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Set, Tuple
@@ -25,17 +24,19 @@ from .connectivity import (
     reverse_delete,
     tau_star,
 )
+from .errors import RelaysynthError
 from .instances import Instance, Point, SolutionGraph, build_unit_disk_graph
 
+_MAX_TERMINALS = 10  # terminal bound of tau_integral's branch and bound
 _NODE_CAP = 200_000  # node bound of tau_integral's branch and bound
 
 
-class BeadError(ValueError):
+class BeadError(RelaysynthError, ValueError):
     pass
 
 
 class SizeCapError(BeadError):
-    pass
+    exit_code = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -148,22 +149,18 @@ class _SearchStop(Exception):
     pass
 
 
-def tau_integral(
-    instance: Instance,
-    k: Optional[int] = None,
-    *,
-    r_cap: int = 10,
-    time_cap: Optional[float] = None,
-) -> BeadSolveResult:
+def tau_integral(instance: Instance, k: Optional[int] = None) -> BeadSolveResult:
     """Minimum-cost edge multiset meeting every demand, by branch and bound.
 
     Branching adds one copy across the Menger cut of the first deficient
     demand; tau_star bounds from below and a reverse-deleted greedy patch
-    seeds the incumbent.  On hitting the node or time cap the best incumbent
-    is returned flagged non-certified.
+    seeds the incumbent.  On hitting the node cap the best incumbent is
+    returned flagged non-certified.
     """
-    if instance.n > r_cap:
-        raise SizeCapError("terminal count %d exceeds cap %d" % (instance.n, r_cap))
+    if instance.n > _MAX_TERMINALS:
+        raise SizeCapError(
+            "terminal count %d exceeds cap %d" % (instance.n, _MAX_TERMINALS)
+        )
     if k is None:
         k = max(1, instance.max_demand)
     if k < 1:
@@ -183,15 +180,12 @@ def tau_integral(
     best_counts = reverse_delete(instance, table, greedy_patch(instance, table, {}))
     best_cost = table.cost(best_counts)
     nodes_seen = [0]
-    deadline = time.monotonic() + time_cap if time_cap else None
 
     visited: Set[Tuple] = set()
 
     def search(counts, cost):
         nodes_seen[0] += 1
-        if nodes_seen[0] > _NODE_CAP or (
-            deadline is not None and time.monotonic() > deadline
-        ):
+        if nodes_seen[0] > _NODE_CAP:
             raise _SearchStop
         nonlocal best_counts, best_cost
         if cost >= best_cost:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every emitted solution verifies and every audited
 inequality holds, 1 on usage, instance, terminal-cap or I/O errors, 2 on audit
-violations, infeasible output or any other broken guarantee.
+violations, infeasible output or any other broken guarantee.  A library error
+carries its code as ``RelaysynthError.exit_code``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from .audits import AUDITS
-from .beads import BeadError, SizeCapError
-from .connectivity import ConnectivityError, tau_star, verify_feasible
-from .decomposition import DecompositionError
+from .connectivity import tau_star, verify_feasible
+from .errors import RelaysynthError
 from .generators import ExperimentConfig, generate
 from .instances import Instance, InstanceError, parse_instance, serialize_instance
-from .local_replacement import HypergraphError, st_msp_scheme
+from .local_replacement import st_msp_scheme
 from .reporting import RunReport, instance_hash, render_svg
-from .simplex import SimplexError
 from .steiner import OracleBudgetError, SchemeConfig, brute_force_opt, mst_baseline
 from .survivable import solve_sn_msp_012
 
@@ -312,19 +311,12 @@ def main(argv=None) -> int:
                     json.dumps(payload, sort_keys=True, indent=1)
                 )
             return 0 if ok else 2
-    except (InstanceError, SizeCapError, OSError) as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (
-        ConnectivityError,
-        BeadError,
-        HypergraphError,
-        SimplexError,
-        DecompositionError,
-        OracleBudgetError,
-    ) as exc:
+    except RelaysynthError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return exc.exit_code
     return 1
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
+from .errors import RelaysynthError
 from .instances import Instance, SolutionGraph, bead_count
 from .simplex import CoverRow, solve_min_cover
 
@@ -42,7 +43,7 @@ _HALF = Fraction(1, 2)
 _MAX_CUTS = 5000  # row bound of tau_star's constraint generation
 
 
-class ConnectivityError(ValueError):
+class ConnectivityError(RelaysynthError, ValueError):
     pass
 
 
@@ -640,12 +641,13 @@ def r_components(edges, terminals: Iterable[int], nodes=()):
     return out
 
 
-def dfs_cycle(edges, terminals: Iterable[int], *, strict: bool = True):
+def dfs_cycle(edges, terminals: Iterable[int]):
     """Euler-style cycle of a Steiner tree, duplicating each internal node.
 
     Returns the cyclic occurrence list [(node, copy_index), ...]; every
     terminal appears once and every internal node deg(v) times, and
-    consecutive occurrences always share a tree edge.
+    consecutive occurrences always share a tree edge.  The leaves must be
+    exactly the tree's terminals.
     """
     terminals = set(terminals)
     pairs = _edge_pairs(edges)
@@ -655,12 +657,11 @@ def dfs_cycle(edges, terminals: Iterable[int], *, strict: bool = True):
     if len(pairs) != len(adj) - 1 or len(connected_components(pairs)) != 1:
         raise ConnectivityError("input is not a tree")
     leaves = {v for v, nb in adj.items() if len(nb) == 1}
-    if strict:
-        for v in terminals & set(adj):
-            if v not in leaves:
-                raise ConnectivityError("terminal %r is internal in the tree" % (v,))
-        if not leaves <= terminals:
-            raise ConnectivityError("tree has a non-terminal leaf")
+    for v in terminals & set(adj):
+        if v not in leaves:
+            raise ConnectivityError("terminal %r is internal in the tree" % (v,))
+    if not leaves <= terminals:
+        raise ConnectivityError("tree has a non-terminal leaf")
     root = min(leaves & terminals)
 
     seq: List[int] = []

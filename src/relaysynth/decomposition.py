@@ -15,9 +15,10 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .connectivity import UnionFind, adjacency_of, r_components
+from .errors import RelaysynthError
 
 
-class DecompositionError(ValueError):
+class DecompositionError(RelaysynthError, ValueError):
     pass
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
+from .errors import RelaysynthError
+
 EPS_GEO = 1e-9
 
 # Packing parameter for Euclidean spaces where the literature pins a value.
@@ -21,8 +23,10 @@ DELTA_DEFAULTS = {2: 5, 3: 11}
 Number = Union[int, float, Fraction]
 
 
-class InstanceError(ValueError):
+class InstanceError(RelaysynthError, ValueError):
     """Raised for malformed instances, metrics, or points."""
+
+    exit_code = 1
 
 
 def _as_fraction(value) -> Fraction:

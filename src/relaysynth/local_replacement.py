@@ -14,6 +14,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .beads import BeadEdge, realize
 from .connectivity import UnionFind, verify_feasible
+from .errors import RelaysynthError
 from .instances import Instance, Point, SolutionGraph
 from .steiner import (
     ComponentHypergraph,
@@ -24,7 +25,7 @@ from .steiner import (
 )
 
 
-class HypergraphError(ValueError):
+class HypergraphError(RelaysynthError, ValueError):
     pass
 
 

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from .errors import RelaysynthError
+
 _ZERO = Fraction(0)
 _DANTZIG_BUDGET = 200
 _MAX_PIVOTS = 20_000  # pivot bound of solve_min_cover
 
 
-class SimplexError(RuntimeError):
+class SimplexError(RelaysynthError, RuntimeError):
     pass
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .beads import BeadEdge, realize
 from .connectivity import UnionFind, bead_costs, is_feasible, verify_feasible
+from .errors import RelaysynthError
 from .instances import (
     EPS_GEO,
     Instance,
@@ -31,7 +32,7 @@ from .instances import (
 _MAX_STEINER = 12  # relay-count bound of the component oracle's deepening
 
 
-class OracleBudgetError(RuntimeError):
+class OracleBudgetError(RelaysynthError, RuntimeError):
     pass
 
 

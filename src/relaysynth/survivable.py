@@ -43,9 +43,9 @@ class SnBackendResult:
     tau_star_value: Fraction
 
 
-def sn_backend_exact(instance: Instance, **caps) -> SnBackendResult:
+def sn_backend_exact(instance: Instance) -> SnBackendResult:
     """Certified optimum on small instances via the bead branch-and-bound."""
-    res = tau_integral(instance, k=2, **caps)
+    res = tau_integral(instance, k=2)
     return SnBackendResult(res.selected, res.cost, res.certified, res.lower_bound)
 
 
@@ -170,13 +170,12 @@ def solve_sn_msp_012(
     *,
     include_witness: bool = True,
     opt: Optional[int] = None,
-    **backend_caps,
 ) -> SnReport:
     """Bead-graph pipeline: backend selection, realization, verification, audit."""
     if any(r not in (1, 2) for r in instance.demands.values()):
         raise InstanceError("demands must stay within {0,1,2}")
     if backend == "exact":
-        result = sn_backend_exact(instance, **backend_caps)
+        result = sn_backend_exact(instance)
     elif backend in ("pd", "primal-dual"):
         result = sn_backend_primal_dual(instance)
     else:

@@ -48,7 +48,7 @@ def _report(name: str, detail: str, elapsed: float, limit: float) -> None:
 @pytest.fixture(scope="module")
 def witness_sweep():
     t0 = time.perf_counter()
-    outcome = audit_witness(trials=100, seed=3, n_max=8, box=4.0)
+    outcome = audit_witness(trials=100, seed=3)
     return outcome, time.perf_counter() - t0
 
 
@@ -156,7 +156,7 @@ def test_pruned_component_structure(witness_sweep):
 
 def test_rank_certificate_sweep():
     t0 = time.perf_counter()
-    outcome = audit_decomposition(trials=200, seed=2, ks=(8, 16))
+    outcome = audit_decomposition(trials=200, seed=2)
     elapsed = time.perf_counter() - t0
     assert outcome.trials == 200
     assert outcome.violations == ()

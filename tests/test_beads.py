@@ -135,7 +135,7 @@ def test_tau_integral_respects_terminal_cap():
     pts = [Point.at(i * 0.3, 0) for i in range(12)]
     inst = make_instance(pts, {(0, 11): 1}, E2)
     with pytest.raises(SizeCapError):
-        tau_integral(inst, r_cap=10)
+        tau_integral(inst)
 
 
 def test_tau_integral_sandwich_against_tau_star():

@@ -1,13 +1,17 @@
+import importlib
 import json
 import math
+import pkgutil
 
 import pytest
 
 import relaysynth.cli
-from relaysynth.beads import BeadError
+from relaysynth.beads import BeadError, SizeCapError
 from relaysynth.cli import main
 from relaysynth.connectivity import ConnectivityError, NonTreeComponentError
 from relaysynth.decomposition import DecompositionError
+from relaysynth.errors import RelaysynthError
+from relaysynth.instances import InstanceError
 from relaysynth.local_replacement import HypergraphError
 from relaysynth.reporting import CSV_COLUMNS
 from relaysynth.simplex import SimplexError
@@ -237,3 +241,32 @@ def test_broken_guarantee_exits_two(monkeypatch, capsys, error):
     err = capsys.readouterr().err
     assert err == "error: guarantee broken\n"
     assert "Traceback" not in err
+
+
+def test_terminal_cap_exits_one(tmp_path, capsys):
+    assert run_cli("solve", "--family", "uniform-box", "--n", "11", "--algo",
+                   "sn012", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: terminal count 11 exceeds cap 10\n"
+
+
+def _public_error_classes():
+    for info in pkgutil.iter_modules(relaysynth.__path__):
+        module = importlib.import_module("relaysynth." + info.name)
+        for name, obj in vars(module).items():
+            if (
+                isinstance(obj, type)
+                and issubclass(obj, Exception)
+                and obj.__module__ == module.__name__
+                and not name.startswith("_")
+            ):
+                yield obj
+
+
+def test_every_library_error_carries_an_exit_code():
+    # main catches only RelaysynthError, so an error class outside it would
+    # end in a traceback instead of exit 1 or 2.
+    errors = set(_public_error_classes())
+    assert {InstanceError, SizeCapError, ConnectivityError, OracleBudgetError} <= errors
+    for error in errors:
+        assert issubclass(error, RelaysynthError), error
+        assert error.exit_code in (1, 2), error

@@ -499,7 +499,7 @@ def test_dfs_cycle_counts_match_degree():
             adj.setdefault(b, set()).add(a)
         leaves = {v for v in adj if len(adj[v]) == 1}
         internal = set(adj) - leaves
-        seq = dfs_cycle(edges, leaves, strict=True)
+        seq = dfs_cycle(edges, leaves)
         counts = {}
         for v, _ in seq:
             counts[v] = counts.get(v, 0) + 1
@@ -517,7 +517,7 @@ def test_dfs_cycle_counts_match_degree():
 
 def test_dfs_cycle_rejects_internal_terminal():
     with pytest.raises(ConnectivityError):
-        dfs_cycle([(0, 1), (1, 2)], {0, 1, 2}, strict=True)
+        dfs_cycle([(0, 1), (1, 2)], {0, 1, 2})
 
 
 # ---------------------------------------------------------------------------

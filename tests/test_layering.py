@@ -31,8 +31,10 @@ def test_no_module_imports_a_private_name_from_another():
 # Settings with one value in use are module constants, not parameters.
 RETIRED_PARAMETERS = {
     "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
-    "max_steiner",
+    "max_steiner", "r_cap", "time_cap", "strict", "ks",
 }
+# Keyword pass-throughs that only ever forwarded nothing.
+RETIRED_PASS_THROUGHS = {"caps", "backend_caps"}
 
 
 def _modules():
@@ -49,6 +51,8 @@ def test_no_function_takes_a_retired_parameter():
                 for arg in args.posonlyargs + args.args + args.kwonlyargs:
                     if arg.arg in RETIRED_PARAMETERS:
                         found.append("%s:%d %s" % (path.name, arg.lineno, arg.arg))
+                if args.kwarg is not None and args.kwarg.arg in RETIRED_PASS_THROUGHS:
+                    found.append("%s:%d **%s" % (path.name, args.kwarg.lineno, args.kwarg.arg))
             elif isinstance(node, ast.ClassDef):  # dataclass fields are settings too
                 for stmt in node.body:
                     if (
@@ -68,6 +72,8 @@ def test_unit_disk_tolerance_is_read_in_two_modules_only():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id == "EPS_GEO":
                 readers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "EPS_GEO":
+                readers.add(path.name)  # instances.EPS_GEO after `from . import instances`
             elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
                 if any(alias.name == "EPS_GEO" for alias in node.names):
                     readers.add(path.name)
