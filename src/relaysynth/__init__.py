@@ -39,7 +39,8 @@ from .connectivity import (
 )
 from .beads import BeadEdge, BeadGraph, build_bead_graph, realize, tau_integral
 from .steiner import (
-    ComponentHypergraph,
+    Hyperedge,
+    Hypergraph,
     SchemeConfig,
     brute_force_opt,
     build_component_hypergraph,
@@ -47,7 +48,6 @@ from .steiner import (
     mst_baseline,
 )
 from .local_replacement import (
-    CostedHypergraph,
     costed_hypergraph,
     local_replacement,
     max_overlapped_set,

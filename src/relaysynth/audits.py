@@ -19,12 +19,8 @@ from typing import Dict, FrozenSet, Sequence, Tuple
 from .connectivity import UnionFind, adjacency_of, fractional_feasible, r_components
 from .decomposition import DecompositionError, rank_certificate
 from .instances import Instance, MetricSpace, Point, make_instance
-from .local_replacement import (
-    CostedEdge,
-    costed_hypergraph,
-    local_replacement,
-    max_overlapped_set,
-)
+from .local_replacement import costed_hypergraph, local_replacement, max_overlapped_set
+from .steiner import Hyperedge
 from .survivable import solve_sn_msp_012
 
 _RANK_KS = (8, 16)  # component size caps k that audit_decomposition alternates
@@ -84,7 +80,7 @@ def random_connected_hypergraph(rng: random.Random, n: int, extra_edges: int):
     return costed_hypergraph(range(n), list(best.items()))
 
 
-def min_spanning_subhypergraph_cost(n: int, edges: Sequence[CostedEdge]) -> int:
+def min_spanning_subhypergraph_cost(n: int, edges: Sequence[Hyperedge]) -> int:
     """Exhaustive optimum: shortest merge sequence over node partitions."""
     start = tuple(tuple([v]) for v in range(n))
 

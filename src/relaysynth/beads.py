@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 # element_maxflow is re-exported: perfbench's self-test looks it up here.
 from .connectivity import (
@@ -149,7 +149,7 @@ class _SearchStop(Exception):
     pass
 
 
-def tau_integral(instance: Instance, k: Optional[int] = None) -> BeadSolveResult:
+def tau_integral(instance: Instance) -> BeadSolveResult:
     """Minimum-cost edge multiset meeting every demand, by branch and bound.
 
     Branching adds one copy across the Menger cut of the first deficient
@@ -161,11 +161,7 @@ def tau_integral(instance: Instance, k: Optional[int] = None) -> BeadSolveResult
         raise SizeCapError(
             "terminal count %d exceeds cap %d" % (instance.n, _MAX_TERMINALS)
         )
-    if k is None:
-        k = max(1, instance.max_demand)
-    if k < 1:
-        raise BeadError("k must be at least 1")
-    table = copy_table(instance, k)
+    table = copy_table(instance, max(1, instance.max_demand))
 
     if not instance.demands:
         return BeadSolveResult(0, selection_of(table, {}), True, Fraction(0), 0)

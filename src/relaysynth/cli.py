@@ -91,10 +91,7 @@ def _solve_one(
         raise InstanceError("unknown algorithm %r" % (config.algorithm,))
 
     if tau_star_value is None and instance.n <= 12:
-        try:
-            tau_star_value = tau_star(instance).value
-        except Exception:
-            tau_star_value = None
+        tau_star_value = tau_star(instance).value
 
     feasible = not verify_feasible(instance, solution)
     opt = _maybe_opt(instance, cost)

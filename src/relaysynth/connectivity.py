@@ -81,6 +81,17 @@ class UnionFind:
         return True
 
 
+def hyperedge_classes(hyperedges, ground) -> int:
+    """Number of classes left among the ground nodes after joining the nodes
+    of each hyperedge; `ground` is iterated twice."""
+    joined = UnionFind(ground)
+    for he in hyperedges:
+        first = min(he)
+        for v in he:
+            joined.union(first, v)
+    return len({joined.find(v) for v in ground})
+
+
 def _edge_pairs(edges) -> List[Tuple[int, int]]:
     return [tuple(sorted(e)) for e in edges]
 

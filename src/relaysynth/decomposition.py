@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .connectivity import UnionFind, adjacency_of, r_components
+from .connectivity import adjacency_of, hyperedge_classes, r_components
 from .errors import RelaysynthError
 
 
@@ -401,25 +401,11 @@ def level_cut_partition(
         raise DecompositionError("fewer connecting paths than pieces minus one")
     if total_path_cost * span > tree.total_cost():
         raise DecompositionError("connecting paths exceed the cost budget")
-    _check_hyperedges_connected(
-        [piece.hyperedge for piece in pieces], tree.terminals
-    )
+    if hyperedge_classes([piece.hyperedge for piece in pieces], tree.terminals) > 1:
+        raise DecompositionError("hyperedges do not connect the terminal set")
     return LevelCutPartition(
         tuple(pieces), best_offset, span, tuple(paths), total_path_cost
     )
-
-
-def _check_hyperedges_connected(hyperedges, ground: Set[int]) -> None:
-    ground = set(ground)
-    if not ground:
-        return
-    joined = UnionFind(ground)
-    for he in hyperedges:
-        first = min(he)
-        for v in he:
-            joined.union(first, v)
-    if len({joined.find(v) for v in ground}) != 1:
-        raise DecompositionError("hyperedges do not connect the terminal set")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +508,8 @@ def rank_certificate(
                 raise DecompositionError("degenerate piece hyperedge")
             hyperedges.append(frozenset(grown))
 
-    _check_hyperedges_connected(hyperedges, terminals)
+    if hyperedge_classes(hyperedges, terminals) > 1:
+        raise DecompositionError("hyperedges do not connect the terminal set")
     entries = []
     total = 0
     rank = 0

@@ -10,14 +10,14 @@ committed step so the logarithmic cost bound can be replayed afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .beads import BeadEdge, realize
 from .connectivity import UnionFind, verify_feasible
-from .errors import RelaysynthError
 from .instances import Instance, Point, SolutionGraph
 from .steiner import (
-    ComponentHypergraph,
+    Hyperedge,
+    Hypergraph,
+    HypergraphError,
     SchemeConfig,
     build_component_hypergraph,
     mst_pairs,
@@ -25,53 +25,10 @@ from .steiner import (
 )
 
 
-class HypergraphError(RelaysynthError, ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class CostedEdge:
-    """A hyperedge (or ordinary pair edge when |nodes| == 2) with its cost."""
-
-    eid: int
-    nodes: FrozenSet[int]
-    cost: object  # int or Fraction
-
-    @property
-    def is_pair(self) -> bool:
-        return len(self.nodes) == 2
-
-
-@dataclass(frozen=True)
-class CostedHypergraph:
-    nodes: Tuple[int, ...]
-    edges: Tuple[CostedEdge, ...]
-
-    def __post_init__(self):
-        for e in self.edges:
-            if e.cost < 0:
-                raise HypergraphError("hyperedge costs must be nonnegative")
-            if not e.nodes <= set(self.nodes):
-                raise HypergraphError("hyperedge leaves the node set")
-        joined = UnionFind(self.nodes)
-        for e in self.edges:
-            first = min(e.nodes)
-            for v in e.nodes:
-                joined.union(first, v)
-        if len({joined.find(v) for v in self.nodes}) != 1:
-            raise HypergraphError("hypergraph is not connected")
-
-
-def costed_hypergraph(nodes: Iterable[int], edge_items) -> CostedHypergraph:
-    """Build from [(nodes, cost), ...] with deterministic edge ids."""
-    entries = sorted(
-        ((frozenset(ns), cost) for ns, cost in edge_items),
-        key=lambda item: (len(item[0]), sorted(item[0])),
-    )
-    edges = tuple(
-        CostedEdge(i, ns, cost) for i, (ns, cost) in enumerate(entries)
-    )
-    return CostedHypergraph(tuple(sorted(nodes)), edges)
+def costed_hypergraph(nodes: Iterable[int], edge_items) -> Hypergraph:
+    """Build a cost-only hypergraph from [(nodes, cost), ...]."""
+    edges = tuple(Hyperedge(frozenset(ns), cost) for ns, cost in edge_items)
+    return Hypergraph(tuple(sorted(nodes)), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +111,8 @@ class ReplacementTrace:
 
 @dataclass(frozen=True)
 class ReplacementResult:
-    kept_pairs: Tuple[CostedEdge, ...]
-    selected: Tuple[CostedEdge, ...]
+    kept_pairs: Tuple[Hyperedge, ...]
+    selected: Tuple[Hyperedge, ...]
     trace: ReplacementTrace
 
     @property
@@ -164,7 +121,7 @@ class ReplacementResult:
             e.cost for e in self.selected
         )
 
-    def all_edges(self) -> Tuple[CostedEdge, ...]:
+    def all_edges(self) -> Tuple[Hyperedge, ...]:
         return self.kept_pairs + self.selected
 
 
@@ -180,33 +137,36 @@ def _ratio_better(a_num, a_den, b_num, b_den) -> bool:
 
 
 def local_replacement(
-    hypergraph: CostedHypergraph, tree: Sequence[CostedEdge]
+    hypergraph: Hypergraph, tree: Sequence[Hyperedge]
 ) -> ReplacementResult:
-    """Run the improvement loop from a spanning tree of the pair edges."""
+    """Run the improvement loop from a spanning tree of the pair edges.
+
+    The tree edges are taken from `hypergraph.edges`, and each is tracked by
+    its position there, so equal node sets stay distinct.
+    """
     nodes = set(hypergraph.nodes)
-    by_eid = {e.eid: e for e in hypergraph.edges}
+    position = {id(e): eid for eid, e in enumerate(hypergraph.edges)}
     spanned = UnionFind(nodes)
+    live: List[Tuple[int, int, object, int]] = []
     for e in tree:
         if not e.is_pair:
             raise HypergraphError("the starting tree must consist of pair edges")
-        if by_eid.get(e.eid) is not e and by_eid.get(e.eid) != e:
+        eid = position.get(id(e))
+        if eid is None:
             raise HypergraphError("tree edge %r is not part of the hypergraph" % (e,))
         if not spanned.union(*e.nodes):
             raise HypergraphError("the starting edges contain a cycle")
+        u, v = sorted(e.nodes)
+        live.append((u, v, e.cost, eid))
     if len(tree) != len(nodes) - 1 or len({spanned.find(v) for v in nodes}) != 1:
         raise HypergraphError("the starting edges do not span the nodes as a tree")
-
-    live: List[Tuple[int, int, object, int]] = []
-    for e in tree:
-        u, v = sorted(e.nodes)
-        live.append((u, v, e.cost, e.eid))
 
     merged = UnionFind(nodes)
     rep = merged.find
 
     f0 = sum(c for _, _, c, _ in live)
     steps: List[TraceStep] = []
-    selected: List[CostedEdge] = []
+    selected: List[Hyperedge] = []
     stopped_early = False
 
     if f0 > 0:
@@ -261,7 +221,9 @@ def local_replacement(
                 )
             )
 
-    kept = tuple(by_eid[eid] for _, _, _, eid in sorted(live, key=lambda t: t[3]))
+    kept = tuple(
+        hypergraph.edges[eid] for _, _, _, eid in sorted(live, key=lambda t: t[3])
+    )
     trace = ReplacementTrace(f0, tuple(steps), stopped_early)
     return ReplacementResult(kept, tuple(selected), trace)
 
@@ -273,9 +235,9 @@ def local_replacement(
 @dataclass(frozen=True)
 class SchemeResult:
     solution: SolutionGraph
-    selection: Tuple[CostedEdge, ...]
+    selection: Tuple[Hyperedge, ...]
     trace: ReplacementTrace
-    hypergraph: ComponentHypergraph
+    hypergraph: Hypergraph
     mst_cost: int
     selection_cost: object
 
@@ -287,18 +249,11 @@ class SchemeResult:
 def st_msp_scheme(
     instance: Instance, config: Optional[SchemeConfig] = None
 ) -> SchemeResult:
-    """Hypergraph spanning pipeline: oracle costs, MST start, replacement, realize."""
+    """Hypergraph spanning pipeline: oracle costs, MST start, replacement, witnesses."""
     config = config or SchemeConfig()
     require_all_pairs_unit_demands(instance)
-    component_graph = build_component_hypergraph(instance, config)
-    edge_items = [(e.nodes, e.cost) for e in component_graph.edges]
-    hypergraph = costed_hypergraph(range(instance.n), edge_items)
-    witness_of = {e.nodes: e for e in component_graph.edges}
-
-    pair_cost = {e.nodes: e for e in hypergraph.edges if e.is_pair}
-    tree = []
-    for cost, i, j in mst_pairs(instance):
-        tree.append(pair_cost[frozenset((i, j))])
+    hypergraph = build_component_hypergraph(instance, config)
+    tree = [hypergraph.edge_for((i, j)) for _, i, j in mst_pairs(instance)]
     mst_cost = sum(e.cost for e in tree)
 
     result = local_replacement(hypergraph, tree)
@@ -309,12 +264,7 @@ def st_msp_scheme(
     if instance.metric.kind == "euclidean":
         terminal_keys = {tuple(round(c, 9) for c in p.coords) for p in instance.terminals}
     for edge in result.all_edges():
-        if edge.is_pair:
-            i, j = sorted(edge.nodes)
-            witness = realize(instance, [BeadEdge(i, j, 0, int(edge.cost))]).points
-        else:
-            witness = witness_of[edge.nodes].witness
-        for p in witness:
+        for p in edge.witness:
             key = tuple(round(c, 9) for c in p.coords) if p.coords else ("n", p.index)
             if key in seen or key in terminal_keys:
                 continue
@@ -329,7 +279,7 @@ def st_msp_scheme(
         solution,
         result.all_edges(),
         result.trace,
-        component_graph,
+        hypergraph,
         mst_cost,
         result.cost,
     )

@@ -17,7 +17,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from .beads import BeadEdge, realize
-from .connectivity import UnionFind, bead_costs, is_feasible, verify_feasible
+from .connectivity import (
+    UnionFind,
+    bead_costs,
+    hyperedge_classes,
+    is_feasible,
+    verify_feasible,
+)
 from .errors import RelaysynthError
 from .instances import (
     EPS_GEO,
@@ -323,19 +329,46 @@ def exact_component_oracle(
     return OracleResult(ub, fallback_points, exact)
 
 
+class HypergraphError(RelaysynthError, ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Hyperedge:
+    """A terminal set with its relay cost; a pair edge when |nodes| == 2.
+
+    The witness places relays that connect the set at that cost; cost-only
+    hyperedges have none.
+    """
+
     nodes: FrozenSet[int]
-    cost: int
-    witness: Tuple[Point, ...]
-    exact: bool
+    cost: object  # int or Fraction
+    witness: Tuple[Point, ...] = ()
+    exact: bool = True
+
+    @property
+    def is_pair(self) -> bool:
+        return len(self.nodes) == 2
 
 
 @dataclass(frozen=True)
-class ComponentHypergraph:
+class Hypergraph:
+    """Nonnegative hyperedges that connect `nodes`, ordered by (cardinality,
+    sorted ids); equal node sets keep their given order."""
+
     nodes: Tuple[int, ...]
-    k: int
     edges: Tuple[Hyperedge, ...]
+
+    def __post_init__(self):
+        for e in self.edges:
+            if e.cost < 0:
+                raise HypergraphError("hyperedge costs must be nonnegative")
+            if not e.nodes <= set(self.nodes):
+                raise HypergraphError("hyperedge leaves the node set")
+        if hyperedge_classes([e.nodes for e in self.edges], self.nodes) != 1:
+            raise HypergraphError("hypergraph is not connected")
+        ordered = sorted(self.edges, key=lambda e: (len(e.nodes), sorted(e.nodes)))
+        object.__setattr__(self, "edges", tuple(ordered))
 
     def edge_for(self, subset) -> Hyperedge:
         key = frozenset(subset)
@@ -353,15 +386,13 @@ def _witness_connects(
     pts = [instance.terminals[t] for t in sorted(subset)] + list(witness)
     if any(p.is_abstract for p in pts):
         return False
-    joined = UnionFind(range(len(pts)))
-    for a, b in build_unit_disk_graph(pts, instance.metric):
-        joined.union(a, b)
-    return len({joined.find(i) for i in range(len(subset))}) == 1
+    edges = build_unit_disk_graph(pts, instance.metric)
+    return hyperedge_classes(edges, range(len(subset))) == 1
 
 
 def build_component_hypergraph(
     instance: Instance, config: SchemeConfig
-) -> ComponentHypergraph:
+) -> Hypergraph:
     """Oracle costs for every terminal subset of size 2..k, pairs in closed form.
 
     A superset whose witness still connects a smaller set caps that set's cost,
@@ -399,10 +430,7 @@ def build_component_hypergraph(
                 instance, entry.witness, sub
             ):
                 table[sub] = Hyperedge(sub, entry.cost, entry.witness, entry.exact)
-    edges = tuple(
-        table[k] for k in sorted(table, key=lambda s: (len(s), sorted(s)))
-    )
-    return ComponentHypergraph(tuple(range(n)), config.k, edges)
+    return Hypergraph(tuple(range(n)), tuple(table.values()))
 
 
 # ---------------------------------------------------------------------------

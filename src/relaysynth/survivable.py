@@ -45,19 +45,18 @@ class SnBackendResult:
 
 def sn_backend_exact(instance: Instance) -> SnBackendResult:
     """Certified optimum on small instances via the bead branch-and-bound."""
-    res = tau_integral(instance, k=2)
+    res = tau_integral(instance)
     return SnBackendResult(res.selected, res.cost, res.certified, res.lower_bound)
 
 
 def _moat_forest(instance: Instance) -> List[Tuple[int, int]]:
     """Primal-dual forest for the connectivity-1 part, grown in exact duals."""
-    n = instance.n
     want = [(i, j) for (i, j, r) in instance.demand_pairs() if r >= 1]
     if not want:
         return []
     cost = {p: Fraction(c) for p, c in bead_costs(instance).items()}
     pairs = list(cost)
-    uf = UnionFind(range(n))
+    uf = UnionFind(range(instance.n))
     find = uf.find
 
     def active_components() -> Set[int]:
@@ -100,17 +99,7 @@ def _moat_forest(instance: Instance) -> List[Tuple[int, int]]:
                     remaining[p] -= delta * loads
         chosen.append(tight_pair)
         uf.union(*tight_pair)
-
-    # Reverse delete, newest first, keeping every r>=1 pair connected.
-    kept = list(chosen)
-    for p in reversed(chosen):
-        trial = [e for e in kept if e != p]
-        joined = UnionFind(range(n))
-        for (a, b) in trial:
-            joined.union(a, b)
-        if all(joined.find(u) == joined.find(v) for (u, v) in want):
-            kept = trial
-    return kept
+    return chosen
 
 
 def sn_backend_primal_dual(instance: Instance) -> SnBackendResult:
@@ -134,19 +123,12 @@ class SnReport:
     selected: Tuple[BeadEdge, ...]
     pruned: Optional[SolutionGraph]
     witness: Optional[FractionalBeadSolution]
-    opt: Optional[int] = None
 
     @property
     def ratio_vs_taustar(self) -> Optional[Fraction]:
         if self.tau_star_value == 0:
             return None
         return Fraction(self.cost) / self.tau_star_value
-
-    @property
-    def ratio_vs_opt(self) -> Optional[Fraction]:
-        if self.opt in (None, 0):
-            return None
-        return Fraction(self.cost) / Fraction(self.opt)
 
     def to_json(self):
         return {
@@ -157,8 +139,6 @@ class SnReport:
             "ratio_vs_taustar": None
             if self.ratio_vs_taustar is None
             else str(self.ratio_vs_taustar),
-            "ratio_vs_opt": None if self.ratio_vs_opt is None else str(self.ratio_vs_opt),
-            "opt": self.opt,
             "witness_ref": None if self.witness is None else self.witness.to_json(),
             "selected": [[e.u, e.v, e.copy, e.cost] for e in self.selected],
         }
@@ -169,7 +149,6 @@ def solve_sn_msp_012(
     backend: str = "exact",
     *,
     include_witness: bool = True,
-    opt: Optional[int] = None,
 ) -> SnReport:
     """Bead-graph pipeline: backend selection, realization, verification, audit."""
     if any(r not in (1, 2) for r in instance.demands.values()):
@@ -207,7 +186,6 @@ def solve_sn_msp_012(
         selected=result.selected,
         pruned=pruned,
         witness=witness,
-        opt=opt,
     )
 
 

@@ -243,6 +243,18 @@ def test_broken_guarantee_exits_two(monkeypatch, capsys, error):
     assert "Traceback" not in err
 
 
+def test_tau_star_error_exits_two(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise SimplexError("pivot limit reached")
+
+    monkeypatch.setattr(relaysynth.cli, "tau_star", broken)
+    assert run_cli("solve", "--family", "pentagon", "--algo", "mst",
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: pivot limit reached\n"
+    assert "Traceback" not in err
+
+
 def test_terminal_cap_exits_one(tmp_path, capsys):
     assert run_cli("solve", "--family", "uniform-box", "--n", "11", "--algo",
                    "sn012", "--out", str(tmp_path)) == 1

@@ -31,7 +31,7 @@ def test_no_module_imports_a_private_name_from_another():
 # Settings with one value in use are module constants, not parameters.
 RETIRED_PARAMETERS = {
     "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
-    "max_steiner", "r_cap", "time_cap", "strict", "ks",
+    "max_steiner", "r_cap", "time_cap", "strict", "ks", "opt",
 }
 # Keyword pass-throughs that only ever forwarded nothing.
 RETIRED_PASS_THROUGHS = {"caps", "backend_caps"}

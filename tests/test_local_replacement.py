@@ -10,6 +10,7 @@ from relaysynth.audits import (
     replacement_bound_holds,
 )
 from relaysynth.connectivity import is_feasible
+from relaysynth.generators import pentagon_instance
 from relaysynth.instances import (
     MetricSpace,
     Point,
@@ -23,7 +24,12 @@ from relaysynth.local_replacement import (
     max_overlapped_set,
     st_msp_scheme,
 )
-from relaysynth.steiner import SchemeConfig
+from relaysynth.steiner import (
+    Hyperedge,
+    SchemeConfig,
+    build_component_hypergraph,
+    mst_pairs,
+)
 
 E2 = MetricSpace.euclidean(2)
 
@@ -109,6 +115,17 @@ def test_replacement_rejects_bad_tree():
     hyper = costed_hypergraph([0, 1, 2], [((0, 1), 1), ((1, 2), 1)])
     with pytest.raises(HypergraphError):
         local_replacement(hyper, [hyper.edges[0]])
+
+
+def test_replacement_keeps_duplicate_node_sets_apart():
+    hyper = costed_hypergraph([0, 1, 2], [((0, 1), 1), ((0, 1), 1), ((1, 2), 1)])
+    first, second, other = hyper.edges
+    assert first == second and first is not second
+    result = local_replacement(hyper, [second, other])
+    assert result.kept_pairs[0] is second
+    assert result.kept_pairs[1] is other
+    with pytest.raises(HypergraphError):  # an equal edge from elsewhere
+        local_replacement(hyper, [Hyperedge(frozenset((0, 1)), 1), other])
 
 
 def test_replacement_output_always_spans():
@@ -222,3 +239,29 @@ def test_scheme_zero_cost_tree_returns_immediately():
     res = st_msp_scheme(inst, SchemeConfig(k=3))
     assert res.size == 0
     assert res.trace.steps == ()
+
+
+def _sqrt3_triangle_and_far_terminal():
+    # The triangle wants its one-relay 3-set; terminal 3 hangs off a bead pair.
+    s3 = math.sqrt(3)
+    pts = [Point.at(0, 0), Point.at(s3, 0), Point.at(s3 / 2, 1.5), Point.at(s3 + 2, 0)]
+    return make_instance(pts, all_pairs_demands(4, 1), E2)
+
+
+@pytest.mark.parametrize(
+    "inst, k",
+    [(pentagon_instance(), 5), (_sqrt3_triangle_and_far_terminal(), 3)],
+    ids=["pentagon", "triangle-and-pair"],
+)
+def test_replacement_runs_on_the_component_hypergraph(inst, k):
+    config = SchemeConfig(k=k)
+    graph = build_component_hypergraph(inst, config)
+    tree = [graph.edge_for((i, j)) for _, i, j in mst_pairs(inst)]
+    result = local_replacement(graph, tree)
+    assert all(any(e is g for g in graph.edges) for e in result.all_edges())
+
+    scheme = st_msp_scheme(inst, config)
+    assert scheme.selection == result.all_edges()
+    witness_points = {p for e in scheme.selection for p in e.witness}
+    assert scheme.solution.steiner
+    assert set(scheme.solution.steiner) <= witness_points

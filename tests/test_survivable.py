@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 
 from relaysynth.audits import random_survivable_instance
+from relaysynth.beads import realize
 from relaysynth.connectivity import (
     ConnectivityError,
+    copy_table,
+    first_deficiency,
     is_feasible,
     prune_minimal,
+    verify_feasible,
 )
 from relaysynth.instances import (
     InstanceError,
@@ -18,7 +22,7 @@ from relaysynth.instances import (
     all_pairs_demands,
     make_instance,
 )
-from relaysynth.generators import star_instance
+from relaysynth.generators import star_instance, uniform_box_instance
 from relaysynth.survivable import (
     degree_reduce,
     sn_backend_exact,
@@ -71,6 +75,72 @@ def test_primal_dual_pure_forest_for_unit_demands():
     res = sn_backend_primal_dual(inst)
     assert res.cost == 2
     assert all(e.cost <= 1 for e in res.selected)
+
+
+def _random_finite_instance(rng, n):
+    """Shortest-path closure of random quarter-unit distances, random demands."""
+    d = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = Fraction(rng.randint(2, 14), 4)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    demands = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = rng.choice((0, 0, 1, 1, 2))
+            if r:
+                demands[(i, j)] = r
+    unstable = [v for v in range(n) if rng.random() < 0.3]
+    return make_instance(
+        [Point.node(i) for i in range(n)],
+        demands,
+        MetricSpace.finite(d, delta=5),
+        unstable=unstable,
+    )
+
+
+def _bought_copies_are_each_needed(inst, check_realized):
+    res = sn_backend_primal_dual(inst)
+    table = copy_table(inst, 2)
+    selected = list(res.selected)
+    bought = [
+        i for i, e in enumerate(selected)
+        if e.copy >= table.base_caps.get((e.u, e.v), 0)
+    ]
+    counts = {}
+    for i in bought:
+        pair = (selected[i].u, selected[i].v)
+        counts[pair] = counts.get(pair, 0) + 1
+    assert table.cost(counts) == res.cost
+    for i in bought:
+        e = selected[i]
+        fewer = dict(counts)
+        fewer[(e.u, e.v)] -= 1
+        assert first_deficiency(inst, table.caps(fewer)) is not None, e
+        if check_realized:
+            rest = selected[:i] + selected[i + 1:]
+            assert verify_feasible(inst, realize(inst, rest).solution), e
+    return len(bought)
+
+
+def test_primal_dual_selection_is_minimal():
+    # Finite-metric beads realize as chains whose only adjacencies are their
+    # own hops, so the realized graph loses exactly the dropped copy.  Planar
+    # beads of different pairs may land within unit distance of each other,
+    # so there only the bead multigraph is checked.
+    rng = random.Random(61)
+    bought = 0
+    for _ in range(20):
+        inst = _random_finite_instance(rng, rng.randint(8, 10))
+        bought += _bought_copies_are_each_needed(inst, check_realized=True)
+    for n in (8, 9, 10):
+        for seed in (0, 1):
+            inst = uniform_box_instance(n, 4.0, seed, "random")
+            bought += _bought_copies_are_each_needed(inst, check_realized=False)
+    assert bought >= 100
 
 
 def test_pipeline_reports_and_verifies():
