@@ -55,7 +55,6 @@ from .local_replacement import (
 )
 from .survivable import (
     degree_reduce,
-    sn_backend_exact,
     sn_backend_primal_dual,
     solve_sn_msp_012,
 )

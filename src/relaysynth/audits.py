@@ -18,7 +18,8 @@ from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .connectivity import UnionFind, adjacency_of, fractional_feasible, r_components
 from .decomposition import DecompositionError, rank_certificate
-from .instances import Instance, MetricSpace, Point, make_instance
+from .generators import draw_box_instance
+from .instances import Instance
 from .local_replacement import costed_hypergraph, local_replacement, max_overlapped_set
 from .steiner import Hyperedge
 from .survivable import solve_sn_msp_012
@@ -229,20 +230,7 @@ def audit_decomposition(trials: int = 200, seed: int = 2) -> AuditOutcome:
 def random_survivable_instance(
     rng: random.Random, n_max: int = 8, box: float = 4.0
 ) -> Instance:
-    n = rng.randint(3, n_max)
-    pts = [
-        Point.at(rng.uniform(0, box), rng.uniform(0, box)) for _ in range(n)
-    ]
-    demands = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = rng.choice((0, 0, 1, 1, 2))
-            if r:
-                demands[(i, j)] = r
-    if not demands:
-        demands[(0, 1)] = 1
-    unstable = [v for v in range(n) if rng.random() < 0.3]
-    return make_instance(pts, demands, MetricSpace.euclidean(2), unstable=unstable)
+    return draw_box_instance(rng, rng.randint(3, n_max), box, "random")
 
 
 def audit_witness(trials: int = 100, seed: int = 3) -> AuditOutcome:

@@ -70,16 +70,13 @@ def selection_of(table: CopyTable, counts) -> Tuple[BeadEdge, ...]:
     return tuple(sorted(chosen))
 
 
-def build_bead_graph(instance: Instance, k: int) -> BeadGraph:
-    if k < 1:
-        raise BeadError("k must be at least 1")
-    table = copy_table(instance, k)
-    return BeadGraph(instance.n, k, selection_of(table, table.max_extra))
+def build_bead_graph(instance: Instance) -> BeadGraph:
+    table = copy_table(instance)
+    return BeadGraph(instance.n, table.k, selection_of(table, table.max_extra))
 
 
 @dataclass(frozen=True)
 class BeadPlacement:
-    selected: Tuple[BeadEdge, ...]
     points: Tuple[Point, ...]
     solution: SolutionGraph
 
@@ -111,16 +108,14 @@ def realize(instance: Instance, selected: Iterable[BeadEdge]) -> BeadPlacement:
                     Point.at(*(a + frac * (b - a) for a, b in zip(pu, pv)))
                 )
         solution = SolutionGraph.build(instance, points)
-        return BeadPlacement(selected, tuple(points), solution)
+        return BeadPlacement(tuple(points), solution)
 
     # Finite metric: abstract bead chains.
     edges = dict(build_unit_disk_graph(instance.terminals, instance.metric))
     next_id = instance.n
-    abstract = False
     for e in selected:
         if e.cost == 0:
             continue
-        abstract = True
         d = instance.terminal_distance(e.u, e.v)
         hop = Fraction(d) / (e.cost + 1)
         chain = [e.u] + [next_id + t for t in range(e.cost)] + [e.v]
@@ -128,8 +123,8 @@ def realize(instance: Instance, selected: Iterable[BeadEdge]) -> BeadPlacement:
         points.extend(Point.bead() for _ in range(e.cost))
         for a, b in zip(chain, chain[1:]):
             edges[(min(a, b), max(a, b))] = hop
-    solution = SolutionGraph(instance, points, edges, abstract=abstract)
-    return BeadPlacement(selected, tuple(points), solution)
+    solution = SolutionGraph(instance, points, edges)
+    return BeadPlacement(tuple(points), solution)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +156,7 @@ def tau_integral(instance: Instance) -> BeadSolveResult:
         raise SizeCapError(
             "terminal count %d exceeds cap %d" % (instance.n, _MAX_TERMINALS)
         )
-    table = copy_table(instance, max(1, instance.max_demand))
+    table = copy_table(instance)
 
     if not instance.demands:
         return BeadSolveResult(0, selection_of(table, {}), True, Fraction(0), 0)

@@ -209,7 +209,6 @@ def _config_from(args) -> ExperimentConfig:
         backend=args.backend,
         demand_profile=args.demands,
         trials=args.trials,
-        out=args.out,
         svg=args.svg,
         instance_path=args.instance,
     )

@@ -499,6 +499,7 @@ class CopyTable:
     count map {pair: copies bought}.
     """
 
+    k: int
     pair_cost: Dict[Tuple[int, int], int]
     max_extra: Dict[Tuple[int, int], int]
     base_caps: Dict[Tuple[int, int], int]
@@ -522,7 +523,10 @@ class CopyTable:
         return sorted(found, key=lambda p: (self.pair_cost[p], p))
 
 
-def copy_table(instance: Instance, k: int) -> CopyTable:
+def copy_table(instance: Instance) -> CopyTable:
+    """The copy table at k = max(1, largest demand): no demand needs more
+    parallel copies of one pair than it asks for."""
+    k = max(1, instance.max_demand)
     pair_cost: Dict[Tuple[int, int], int] = {}
     max_extra: Dict[Tuple[int, int], int] = {}
     base_caps: Dict[Tuple[int, int], int] = {}
@@ -535,7 +539,7 @@ def copy_table(instance: Instance, k: int) -> CopyTable:
         if k > 1:
             pair_cost[p] = 1
             max_extra[p] = k - 1
-    return CopyTable(pair_cost, max_extra, base_caps)
+    return CopyTable(k, pair_cost, max_extra, base_caps)
 
 
 def crossing_pairs(pairs, cut: Biset) -> List[Tuple[int, int]]:
@@ -820,17 +824,16 @@ class TauStarResult:
 def tau_star(instance: Instance) -> TauStarResult:
     """Optimal fractional bead value by constraint generation, exactly.
 
-    Variables aggregate the bought copies of one pair in the copy table at
-    k = max_demand (identical LP columns); free copies are fixed at capacity
-    one and moved to the right hand side.  Every cut violated_cuts yields
-    becomes a row, up to _MAX_CUTS rows.
+    Variables aggregate the bought copies of one pair in the copy table
+    (identical LP columns); free copies are fixed at capacity one and moved
+    to the right hand side.  Every cut violated_cuts yields becomes a row, up
+    to _MAX_CUTS rows.
     """
-    k = instance.max_demand
-    if k == 0:
+    if instance.max_demand == 0:
         return TauStarResult(Fraction(0), {}, 0)
 
     pairs = [(i, j) for i in range(instance.n) for j in range(i + 1, instance.n)]
-    table = copy_table(instance, k)
+    table = copy_table(instance)
     var_of = {p: idx for idx, p in enumerate(table.pair_cost)}
     costs = [Fraction(c) for c in table.pair_cost.values()]
     upper = [Fraction(table.max_extra[p]) for p in table.pair_cost]
@@ -889,7 +892,7 @@ def tau_star(instance: Instance) -> TauStarResult:
     for p in pairs:
         free = free_cap.get(p, 0)
         left = free + (y[var_of[p]] if p in var_of else 0)
-        for copy in range(k):
+        for copy in range(table.k):
             take = min(Fraction(1), left)
             x[p + (copy,)] = take
             left -= take

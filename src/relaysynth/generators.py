@@ -28,7 +28,6 @@ class ExperimentConfig:
     backend: str = "exact"
     demand_profile: str = "random"  # uniform-box only: all-1 | all-2 | random
     trials: int = 1
-    out: Optional[str] = None
     svg: bool = False
     instance_path: Optional[str] = None
 
@@ -79,7 +78,14 @@ def star_instance(n: int = 6, seed: int = 0) -> Instance:
 def uniform_box_instance(
     n: int, box: float, seed: int, demand_profile: str = "random"
 ) -> Instance:
-    rng = random.Random(seed)
+    return draw_box_instance(random.Random(seed), n, box, demand_profile)
+
+
+def draw_box_instance(
+    rng: random.Random, n: int, box: float, demand_profile: str
+) -> Instance:
+    """n uniform terminals in a box; "random" demands come from (0, 0, 1, 1, 2)
+    with (0, 1) as the fallback, and each terminal is unstable with p = 0.3."""
     pts = [Point.at(rng.uniform(0, box), rng.uniform(0, box)) for _ in range(n)]
     unstable = ()
     if demand_profile == "all-1":

@@ -292,11 +292,10 @@ class SolutionGraph:
     swaps produce graphs whose edges are a subset of it.  Q = B union S.
     """
 
-    def __init__(self, instance: Instance, steiner, edges, abstract: bool = False):
+    def __init__(self, instance: Instance, steiner, edges):
         self.instance = instance
         self.steiner: Tuple[Point, ...] = tuple(steiner)
         self.edges = {_canon_pair(a, b): l for (a, b), l in edges.items()}
-        self.abstract = bool(abstract)
         n = self.n_nodes
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n) or a == b:
@@ -311,6 +310,11 @@ class SolutionGraph:
             )
         edges = build_unit_disk_graph(points, instance.metric)
         return cls(instance, steiner, edges)
+
+    @property
+    def abstract(self) -> bool:
+        """Whether some relay is a bead with no host location."""
+        return any(p.is_abstract for p in self.steiner)
 
     @property
     def n_terminals(self) -> int:
@@ -331,13 +335,6 @@ class SolutionGraph:
     def q_nodes(self) -> frozenset:
         return frozenset(self.instance.unstable) | frozenset(self.steiner_ids())
 
-    def adjacency(self):
-        adj = {v: set() for v in range(self.n_nodes)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def degree(self, node: int) -> int:
         return sum(1 for e in self.edges if node in e)
 
@@ -347,7 +344,7 @@ class SolutionGraph:
     def without_edge(self, edge) -> "SolutionGraph":
         edge = _canon_pair(*edge)
         edges = {e: l for e, l in self.edges.items() if e != edge}
-        return SolutionGraph(self.instance, self.steiner, edges, self.abstract)
+        return SolutionGraph(self.instance, self.steiner, edges)
 
     def without_steiner(self, node: int) -> "SolutionGraph":
         """Drop one Steiner node (and its edges); later Steiner ids shift down."""
@@ -362,14 +359,12 @@ class SolutionGraph:
             if a == node or b == node:
                 continue
             edges[_canon_pair(remap[a], remap[b])] = l
-        return SolutionGraph(
-            self.instance, [self.steiner[i] for i in keep], edges, self.abstract
-        )
+        return SolutionGraph(self.instance, [self.steiner[i] for i in keep], edges)
 
     def with_edge(self, a: int, b: int, length) -> "SolutionGraph":
         edges = dict(self.edges)
         edges[_canon_pair(a, b)] = length
-        return SolutionGraph(self.instance, self.steiner, edges, self.abstract)
+        return SolutionGraph(self.instance, self.steiner, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,6 @@ class CandidateUniverse:
     """Shared relay-position candidates; the first n entries are the terminals."""
 
     points: Tuple[Point, ...]
-    n_terminals: int
     adjacency: np.ndarray  # bool matrix, unit-disk relation over points
     truncated: bool
 
@@ -131,7 +130,6 @@ def build_candidate_universe(
         reindex = np.array(order)
         return CandidateUniverse(
             tuple(points[i] for i in order),
-            instance.n,
             adj[np.ix_(reindex, reindex)],
             False,
         )
@@ -212,7 +210,7 @@ def build_candidate_universe(
     adj = dist <= 1.0 + EPS_GEO
     np.fill_diagonal(adj, False)
     points = tuple(Point.at(*c) for c in coords)
-    return CandidateUniverse(points, instance.n, adj, truncated)
+    return CandidateUniverse(points, adj, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +277,14 @@ def _deepening_search(
     return found[0]
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    cost: int
-    witness: Tuple[Point, ...]
-    exact: bool
-
-
 def exact_component_oracle(
     instance: Instance,
     subset: Iterable[int],
     config: SchemeConfig,
     universe: Optional[CandidateUniverse] = None,
-) -> OracleResult:
-    """Fewest relay points connecting the terminal subset, over the universe."""
+) -> Hyperedge:
+    """Fewest relay points connecting the terminal subset, over the universe,
+    as the subset's hyperedge."""
     subset = sorted(set(subset))
     if len(subset) < 2:
         raise InstanceError("component oracle needs at least two terminals")
@@ -323,10 +315,11 @@ def exact_component_oracle(
             exact = False
             break
         if hit is not None:
-            return OracleResult(size, tuple(universe.points[c] for c in hit), exact)
+            witness = tuple(universe.points[c] for c in hit)
+            return Hyperedge(frozenset(subset), size, witness, exact)
     if ub > _MAX_STEINER:
         exact = False
-    return OracleResult(ub, fallback_points, exact)
+    return Hyperedge(frozenset(subset), ub, fallback_points, exact)
 
 
 class HypergraphError(RelaysynthError, ValueError):
@@ -415,8 +408,7 @@ def build_component_hypergraph(
                 witness = realize(instance, [BeadEdge(*combo, 0, cost)]).points
                 table[key] = Hyperedge(key, cost, witness, True)
             else:
-                res = exact_component_oracle(instance, combo, config, universe)
-                table[key] = Hyperedge(key, res.cost, res.witness, res.exact)
+                table[key] = exact_component_oracle(instance, combo, config, universe)
 
     # Witness reuse pass, larger sets first.
     for key in sorted(table, key=lambda s: -len(s)):
@@ -441,7 +433,6 @@ def brute_force_opt(
     instance: Instance,
     max_s: int,
     config: Optional[SchemeConfig] = None,
-    universe: Optional[CandidateUniverse] = None,
 ) -> Tuple[int, Tuple[Point, ...]]:
     """Smallest relay multiset (duplicates allowed) meeting every demand.
 
@@ -449,8 +440,7 @@ def brute_force_opt(
     OracleBudgetError when max_s is exhausted.
     """
     config = config or SchemeConfig()
-    if universe is None:
-        universe = build_candidate_universe(instance, config)
+    universe = build_candidate_universe(instance, config)
     term_ids = list(range(instance.n))
 
     def accept(chosen):

@@ -33,19 +33,19 @@ def two_terminals(d, r):
 
 def test_bead_graph_positive_distance():
     inst = two_terminals(2.5, 2)
-    bg = build_bead_graph(inst, 2)
+    bg = build_bead_graph(inst)
     assert [(e.copy, e.cost) for e in bg.pair_edges(0, 1)] == [(0, 2), (1, 2)]
 
 
 def test_bead_graph_short_pair_gets_one_free_copy():
     inst = two_terminals(0.8, 2)
-    bg = build_bead_graph(inst, 2)
+    bg = build_bead_graph(inst)
     assert [(e.copy, e.cost) for e in bg.pair_edges(0, 1)] == [(0, 0), (1, 1)]
 
 
 def test_bead_graph_unit_distance_single_copy():
     inst = two_terminals(1.0, 1)
-    bg = build_bead_graph(inst, 1)
+    bg = build_bead_graph(inst)
     assert [(e.copy, e.cost) for e in bg.pair_edges(0, 1)] == [(0, 0)]
 
 
@@ -78,7 +78,7 @@ def test_realize_size_always_matches_cost():
         n = rng.randint(2, 5)
         pts = [Point.at(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(n)]
         inst = make_instance(pts, {(0, 1): 2}, E2)
-        bg = build_bead_graph(inst, 2)
+        bg = build_bead_graph(inst)
         selected = [e for e in bg.edges if rng.random() < 0.5]
         placement = realize(inst, selected)
         assert placement.size == sum(e.cost for e in selected)

@@ -1,7 +1,9 @@
+import copy
 import importlib
 import json
 import math
 import pkgutil
+import random
 
 import pytest
 
@@ -282,3 +284,69 @@ def test_every_library_error_carries_an_exit_code():
     for error in errors:
         assert issubclass(error, RelaysynthError), error
         assert error.exit_code in (1, 2), error
+
+
+# Seeded fuzz over instance JSON: each case replaces 1-3 fields of a base
+# instance with values from _FUZZ_VALUES and solves it with a seeded choice
+# of algorithm, backend and k.
+_FUZZ_BASES = [
+    {  # euclidean, with an unstable terminal
+        "metric": {"type": "euclidean", "dim": 2},
+        "terminals": [[0.0, 0.0], [1.5, 0.0], [0.7, 1.2]],
+        "unstable": [2],
+        "demands": [[0, 1, 1], [1, 2, 1]],
+        "default_demand": 1,
+    },
+    {  # finite: node 1 is the only relay position between the terminals
+        "metric": {"type": "finite", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "delta": 5},
+        "terminals": [0, 2],
+        "demands": [[0, 1, 1]],
+    },
+]
+_FUZZ_VALUES = [
+    None, True, False, 0, 1, -1, 2.5, 1e308, math.inf, "x", "1/2", [], {}, 10**30,
+    [0], [0, 1], [1, 2, 1],
+]
+
+
+def _fuzz_paths(node, path=()):
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield path + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _fuzz_paths(node[key], path + (key,))
+
+
+def _mutated(rng, base):
+    payload = copy.deepcopy(base)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_fuzz_paths(payload)))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+    return payload
+
+
+def test_fuzzed_instances_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(2024)
+    codes = set()
+    for case in range(120):
+        path = tmp_path / ("case-%d.json" % case)
+        path.write_text(json.dumps(_mutated(rng, rng.choice(_FUZZ_BASES))))
+        argv = [
+            "solve", "--instance", str(path),
+            "--algo", rng.choice(["mst", "scheme", "sn012"]),
+            "--backend", rng.choice(["exact", "pd"]),
+            "--k", rng.choice(["1", "2", "3", "5"]),
+        ]
+        if rng.random() < 0.3:
+            argv += ["--svg", "--out", str(tmp_path / ("out-%d" % case))]
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        codes.add(code)
+    assert codes >= {0, 1}

@@ -1,9 +1,11 @@
 """Module boundaries inside the relaysynth package."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import relaysynth
+from relaysynth import beads, connectivity
 
 PACKAGE = Path(relaysynth.__file__).resolve().parent
 
@@ -31,7 +33,7 @@ def test_no_module_imports_a_private_name_from_another():
 # Settings with one value in use are module constants, not parameters.
 RETIRED_PARAMETERS = {
     "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
-    "max_steiner", "r_cap", "time_cap", "strict", "ks", "opt",
+    "max_steiner", "r_cap", "time_cap", "strict", "ks", "opt", "abstract",
 }
 # Keyword pass-throughs that only ever forwarded nothing.
 RETIRED_PASS_THROUGHS = {"caps", "backend_caps"}
@@ -78,3 +80,20 @@ def test_unit_disk_tolerance_is_read_in_two_modules_only():
                 if any(alias.name == "EPS_GEO" for alias in node.names):
                     readers.add(path.name)
     assert readers <= {"instances.py", "steiner.py"}
+
+
+def test_the_copy_table_decides_k():
+    # k = max(1, largest demand) is derived from the instance alone.
+    for fn in (connectivity.copy_table, beads.build_bead_graph):
+        assert list(inspect.signature(fn).parameters) == ["instance"], fn.__name__
+
+
+def test_no_module_defines_a_twin_result_type():
+    # The oracle returns a Hyperedge; both {0,1,2} backends return a BeadSolveResult.
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, node.name)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in {"OracleResult", "SnBackendResult"}
+    ]
+    assert found == []

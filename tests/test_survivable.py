@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from relaysynth.audits import random_survivable_instance
-from relaysynth.beads import realize
+from relaysynth.beads import realize, tau_integral
 from relaysynth.connectivity import (
     ConnectivityError,
     copy_table,
@@ -25,7 +25,6 @@ from relaysynth.instances import (
 from relaysynth.generators import star_instance, uniform_box_instance
 from relaysynth.survivable import (
     degree_reduce,
-    sn_backend_exact,
     sn_backend_primal_dual,
     solve_sn_msp_012,
 )
@@ -35,7 +34,7 @@ E2 = MetricSpace.euclidean(2)
 
 def test_exact_backend_examples():
     inst = make_instance([Point.at(0, 0), Point.at(3, 0)], {(0, 1): 2}, E2)
-    res = sn_backend_exact(inst)
+    res = tau_integral(inst)
     assert res.cost == 4
     assert res.certified
 
@@ -44,14 +43,14 @@ def test_exact_backend_examples():
         all_pairs_demands(4, 2),
         E2,
     )
-    assert sn_backend_exact(square).cost == 0
+    assert tau_integral(square).cost == 0
 
     path = make_instance(
         [Point.at(0, 0), Point.at(2, 0), Point.at(4, 0)],
         {(0, 1): 1, (1, 2): 1},
         E2,
     )
-    assert sn_backend_exact(path).cost == 2
+    assert tau_integral(path).cost == 2
 
 
 def test_primal_dual_matches_exact_on_examples():
@@ -104,7 +103,7 @@ def _random_finite_instance(rng, n):
 
 def _bought_copies_are_each_needed(inst, check_realized):
     res = sn_backend_primal_dual(inst)
-    table = copy_table(inst, 2)
+    table = copy_table(inst)
     selected = list(res.selected)
     bought = [
         i for i, e in enumerate(selected)
