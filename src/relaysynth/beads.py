@@ -85,17 +85,21 @@ class BeadPlacement:
         return len(self.points)
 
 
-def realize(instance: Instance, selected: Iterable[BeadEdge]) -> BeadPlacement:
-    """Place the beads of the selected edges and build the resulting graph.
+def realize(
+    instance: Instance, selected: Iterable[BeadEdge], relays: Iterable[Point] = ()
+) -> BeadPlacement:
+    """Place the beads of the selected edges after the concrete ``relays`` and
+    build the resulting graph.
 
     Euclidean beads are equally spaced interior points of the segment;
     coincident duplicates from parallel copies are kept as distinct nodes.  In
     a finite metric, positive-cost edges realize as abstract chain nodes whose
-    only adjacencies are the chain hops.
+    only adjacencies are the chain hops; the terminals and relays keep their
+    unit-disk edges.
     """
     selected = tuple(sorted(selected))
     euclidean = instance.metric.kind == "euclidean"
-    points: List[Point] = []
+    points: List[Point] = list(relays)
     if euclidean:
         for e in selected:
             if e.cost == 0:
@@ -111,8 +115,8 @@ def realize(instance: Instance, selected: Iterable[BeadEdge]) -> BeadPlacement:
         return BeadPlacement(tuple(points), solution)
 
     # Finite metric: abstract bead chains.
-    edges = dict(build_unit_disk_graph(instance.terminals, instance.metric))
-    next_id = instance.n
+    edges = dict(build_unit_disk_graph(list(instance.terminals) + points, instance.metric))
+    next_id = instance.n + len(points)
     for e in selected:
         if e.cost == 0:
             continue

@@ -19,9 +19,12 @@ Two engines answer that check, and the caller fixes which one runs:
   every demand at once, because with r <= 2 a demand fails only when no
   path joins the pair or one element separates it.  The flow returns the
   residual-reachable side of its cut, the intersection of all min-cut source
-  sides, so the witness is unique and the lowlink pass returns the same one.
-  It serves first_deficiency (branch and bound, greedy patch, reverse
-  delete) and is_feasible (pruning, degree reduction, brute force).
+  sides, so the witness is unique and the lowlink pass returns the same one:
+  the first separating element on the tree path from i; its side is what i
+  reaches without it.  The pass serves first_deficiency (branch and bound,
+  greedy patch, reverse delete) and is_feasible (pruning, degree reduction,
+  brute force).  Pruning's relay pass needs no check: after its edge pass
+  it drops exactly the isolated relays.
 - element_maxflow, one flow per demand pair, serves violated_cuts,
   fractional_feasible and tau_star on fractional capacities, and
   verify_feasible, so the final check of every emitted solution stays
@@ -102,26 +105,6 @@ def adjacency_of(edges, nodes=()) -> Dict[int, Set[int]]:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
-
-
-def connected_components(edges, nodes=()) -> List[frozenset]:
-    adj = adjacency_of(edges, nodes)
-    seen: Set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
 
 
 def _lowlink(adj):
@@ -215,8 +198,6 @@ def element_maxflow(
         raw_nodes.add(a)
         raw_nodes.add(b)
     idx = {v: i for i, v in enumerate(sorted(raw_nodes))}
-    if s not in idx or t not in idx:
-        raise ConnectivityError("node absent from graph")
     qset = set(qnodes) - {s, t}
 
     total = sum(c for c in edge_caps.values())
@@ -302,11 +283,7 @@ def element_maxflow(
 
 def _caps_from_edges(edges) -> Dict[Tuple[int, int], int]:
     caps: Dict[Tuple[int, int], int] = {}
-    if isinstance(edges, Mapping):
-        items = edges.keys()
-    else:
-        items = edges
-    for e in items:
+    for e in edges:
         key = tuple(sorted((e[0], e[1])))
         caps[key] = caps.get(key, 0) + 1
     return caps
@@ -317,16 +294,10 @@ def q_connectivity(edges, q: Iterable[int], u: int, v: int, *, nodes=()) -> int:
 
     ``edges`` is an iterable of node pairs; repeated pairs act as parallel
     edges.  Mapping values (e.g. lengths) are ignored; use
-    ``q_connectivity_cut`` with explicit multiplicities for multigraphs.
+    ``element_maxflow`` with explicit multiplicities for multigraphs.
     """
     flow, _, _, _ = element_maxflow(_caps_from_edges(edges), q, u, v, extra_nodes=nodes)
     return flow
-
-
-def q_connectivity_cut(caps: Mapping[Tuple[int, int], object], q, u, v, *, nodes=()):
-    """Like q_connectivity but with explicit edge capacities; returns the cut too."""
-    caps = {tuple(sorted(k)): c for k, c in caps.items()}
-    return element_maxflow(caps, q, u, v, extra_nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +332,8 @@ def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandVio
     separating elements are nested along the path, so that cut belongs to
     the first one met from i; an edge comes before its far endpoint, which
     settles the tie of a multiplicity-one edge entering a separating Q-node.
+    The cut's inner part is what i reaches without that element (without
+    anything when no path joins the pair).
     """
     adj: Dict[int, Dict[int, int]] = {v: {} for v in nodes}
     for (a, b), c in caps.items():
@@ -374,28 +347,17 @@ def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandVio
     for (i, j, _) in demands:
         adj.setdefault(i, {})
         adj.setdefault(j, {})
-    order, disc, low, last, parent = _lowlink(adj)
-
-    def subtree(c):
-        return order[disc[c] : last[c] + 1]
-
-    def outside(c):
-        root = c
-        while parent[root] is not None:
-            root = parent[root]
-        return order[disc[root] : disc[c]] + order[last[c] + 1 : last[root] + 1]
+    _, disc, low, last, parent = _lowlink(adj)
 
     for (i, j, r) in demands:
         up = [i]
         while not disc[up[-1]] <= disc[j] <= last[up[-1]] and parent[up[-1]] is not None:
             up.append(parent[up[-1]])
         top = up[-1]
-        if not disc[top] <= disc[j] <= last[top]:
-            # No path: top is the root of i's tree, and the cut is the tree.
-            flow, inner, cut_nodes = 0, subtree(top), ()
-        elif r < 2:
-            continue
-        else:
+        flow, cut_nodes, skip_node, skip_edge = 0, (), None, {}
+        if disc[top] <= disc[j] <= last[top]:
+            if r < 2:
+                continue
             down = [j]
             while down[-1] != top:
                 down.append(parent[down[-1]])
@@ -404,26 +366,24 @@ def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandVio
                 a, b = path[m - 1], path[m]
                 c, p = (a, b) if parent[a] == b else (b, a)
                 if low[c] > disc[p]:  # (p, c) is a bridge of multiplicity one
-                    inner = subtree(c) if c == a else outside(c)
-                    cut_nodes = ()
+                    skip_edge = {a: b, b: a}
                     break
-                if b == j or b not in q:
-                    continue
-                if parent[a] == b and low[a] >= disc[b]:
-                    inner, cut_nodes = subtree(a), (b,)
-                    break
-                nxt = path[m + 1]
-                if parent[nxt] == b and low[nxt] >= disc[b]:
-                    # i lies above b, or under a child of b that reaches above it.
-                    inner = outside(b)
-                    for x in adj[b]:
-                        if parent[x] == b and low[x] < disc[b]:
-                            inner += subtree(x)
-                    cut_nodes = (b,)
+                if b != j and b in q and any(
+                    parent[x] == b and low[x] >= disc[b] for x in (a, path[m + 1])
+                ):
+                    skip_node, cut_nodes = b, (b,)
                     break
             else:
                 continue
             flow = 1
+        inner = {i}
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in inner and w != skip_node and skip_edge.get(v) != w:
+                    inner.add(w)
+                    stack.append(w)
         inner = frozenset(inner)
         outer = inner.union(cut_nodes)
         cut_edges = {
@@ -457,7 +417,8 @@ def is_feasible(instance: Instance, solution: SolutionGraph) -> bool:
 
 
 def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
-    """Remove edges (longest first) and Steiner nodes while feasibility holds."""
+    """Remove edges (longest first) while feasibility holds, then the Steiner
+    nodes left without an edge."""
     if not is_feasible(instance, solution):
         raise ConnectivityError("cannot prune an infeasible solution")
     graph = solution
@@ -468,10 +429,11 @@ def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
         candidate = graph.without_edge(edge)
         if is_feasible(instance, candidate):
             graph = candidate
-    for node in sorted(graph.steiner_ids(), reverse=True):
-        candidate = graph.without_steiner(node)
-        if is_feasible(instance, candidate):
-            graph = candidate
+    # Every kept edge failed its test in a supergraph, and feasibility only drops
+    # as edges go, so the relays that can go are exactly the isolated ones.
+    linked = {v for e in graph.edges for v in e}
+    for node in sorted(set(graph.steiner_ids()) - linked, reverse=True):
+        graph = graph.without_steiner(node)
     return graph
 
 
@@ -637,23 +599,27 @@ def blocks(edges, nodes=()):
 
 
 def r_components(edges, terminals: Iterable[int], nodes=()):
-    """One subgraph per component of G minus R, with its terminal attachments."""
+    """One subgraph per component of G minus R, with its terminal attachments,
+    in order of their smallest relay; relays in ``nodes`` without an edge
+    stay single-node components."""
     terminals = set(terminals)
-    pairs = _edge_pairs(edges)
-    adj = adjacency_of(pairs, nodes)
-    steiner_nodes = [v for v in adj if v not in terminals]
-    inner_edges = [(a, b) for a, b in pairs if a not in terminals and b not in terminals]
-    comps = connected_components(inner_edges, steiner_nodes)
-    out = []
-    for comp in sorted(comps, key=min):
-        comp_edges = set()
-        comp_nodes = set(comp)
-        for a, b in pairs:
-            if a in comp or b in comp:
-                comp_edges.add((a, b))
-                comp_nodes.update((a, b))
-        out.append((frozenset(comp_nodes), frozenset(comp_edges)))
-    return out
+    joined = UnionFind(v for v in nodes if v not in terminals)
+    attached = []  # (a relay end, edge)
+    for a, b in _edge_pairs(edges):
+        if a in terminals and b in terminals:
+            continue
+        relay = b if a in terminals else a
+        joined.union(relay, relay if b in terminals else b)  # registers a lone relay
+        attached.append((relay, (a, b)))
+    # Class roots are smallest members, so the classes come in relay order.
+    comps: Dict[int, Tuple[Set[int], Set[Tuple[int, int]]]] = {}
+    for v in sorted(joined.parent):
+        comps.setdefault(joined.find(v), (set(), set()))[0].add(v)
+    for relay, edge in attached:
+        comp_nodes, comp_edges = comps[joined.find(relay)]
+        comp_nodes.update(edge)
+        comp_edges.add(edge)
+    return [(frozenset(ns), frozenset(es)) for ns, es in comps.values()]
 
 
 def dfs_cycle(edges, terminals: Iterable[int]):
@@ -669,7 +635,7 @@ def dfs_cycle(edges, terminals: Iterable[int]):
     adj = adjacency_of(pairs)
     if not adj:
         raise ConnectivityError("empty tree")
-    if len(pairs) != len(adj) - 1 or len(connected_components(pairs)) != 1:
+    if len(pairs) != len(adj) - 1 or hyperedge_classes(pairs, adj) != 1:
         raise ConnectivityError("input is not a tree")
     leaves = {v for v, nb in adj.items() if len(nb) == 1}
     for v in terminals & set(adj):
@@ -868,13 +834,7 @@ def tau_star(instance: Instance) -> TauStarResult:
         if len(rows) > _MAX_CUTS:
             raise ConnectivityError("cut generation exceeded %d rows" % _MAX_CUTS)
         value, y = solve_min_cover(costs, upper, rows)
-        caps: Dict[Tuple[int, int], Fraction] = {}
-        for p in pairs:
-            c = Fraction(free_cap.get(p, 0))
-            if p in var_of:
-                c += y[var_of[p]]
-            if c:
-                caps[p] = c
+        caps = table.caps({p: yp for p, yp in zip(table.pair_cost, y) if yp})
         progress = False
         violated = False
         for cut in violated_cuts(instance, caps):
@@ -888,14 +848,10 @@ def tau_star(instance: Instance) -> TauStarResult:
 
     # Copies fill in order: the free copy first, then the bought capacity.
     x: Dict[Tuple[int, int, int], Fraction] = {}
-    value = Fraction(0)
     for p in pairs:
-        free = free_cap.get(p, 0)
-        left = free + (y[var_of[p]] if p in var_of else 0)
+        left = Fraction(caps.get(p, 0))
         for copy in range(table.k):
             take = min(Fraction(1), left)
             x[p + (copy,)] = take
             left -= take
-            if copy >= free:
-                value += take * table.pair_cost[p]
-    return TauStarResult(value, x, len(rows))
+    return TauStarResult(Fraction(value), x, len(rows))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .beads import BeadEdge, realize
 from .connectivity import UnionFind, verify_feasible
 from .instances import Instance, Point, SolutionGraph
 from .steiner import (
@@ -258,12 +259,19 @@ def st_msp_scheme(
 
     result = local_replacement(hypergraph, tree)
 
+    # A witness with abstract beads is its set's bead-MST chains (the oracle's
+    # fallback); it is placed as those chains, next to the concrete relays.
+    chains: List[BeadEdge] = []
     points: List[Point] = []
     seen = set()
     terminal_keys = set()
     if instance.metric.kind == "euclidean":
         terminal_keys = {tuple(round(c, 9) for c in p.coords) for p in instance.terminals}
     for edge in result.all_edges():
+        if any(p.is_abstract for p in edge.witness):
+            mst = mst_pairs(instance, edge.nodes)
+            chains.extend(BeadEdge(i, j, 0, cost) for cost, i, j in mst)
+            continue
         for p in edge.witness:
             key = tuple(round(c, 9) for c in p.coords) if p.coords else ("n", p.index)
             if key in seen or key in terminal_keys:
@@ -271,7 +279,7 @@ def st_msp_scheme(
             seen.add(key)
             points.append(p)
 
-    solution = SolutionGraph.build(instance, points)
+    solution = realize(instance, chains, points).solution
     bad = verify_feasible(instance, solution)
     if bad:
         raise HypergraphError("scheme produced an infeasible union: %r" % (bad[0],))

@@ -49,8 +49,7 @@ def _moat_forest(instance: Instance) -> List[Tuple[int, int]]:
     want = [(i, j) for (i, j, r) in instance.demand_pairs() if r >= 1]
     if not want:
         return []
-    cost = {p: Fraction(c) for p, c in bead_costs(instance).items()}
-    pairs = list(cost)
+    remaining = {p: Fraction(c) for p, c in bead_costs(instance).items()}
     uf = UnionFind(range(instance.n))
     find = uf.find
 
@@ -62,36 +61,21 @@ def _moat_forest(instance: Instance) -> List[Tuple[int, int]]:
                 act.add(find(v))
         return act
 
-    remaining = dict(cost)
     chosen: List[Tuple[int, int]] = []
     while True:
         act = active_components()
         if not act:
             break
-        best = None
-        for p in pairs:
-            u, v = p
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            loads = (1 if ru in act else 0) + (1 if rv in act else 0)
-            if loads == 0:
-                continue
-            t = remaining[p] / loads
-            if best is None or t < best[0] or (t == best[0] and p < best[1]):
-                best = (t, p, loads)
-        if best is None:
+        loads = {}
+        for p in remaining:
+            ru, rv = find(p[0]), find(p[1])
+            if ru != rv and (ru in act or rv in act):
+                loads[p] = (ru in act) + (rv in act)
+        if not loads:
             raise ConnectivityError("no growable moat for an unmet demand")
-        delta, tight_pair, _ = best
-        if delta > 0:
-            for p in pairs:
-                u, v = p
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    continue
-                loads = (1 if ru in act else 0) + (1 if rv in act else 0)
-                if loads:
-                    remaining[p] -= delta * loads
+        delta, tight_pair = min((remaining[p] / load, p) for p, load in loads.items())
+        for p, load in loads.items():
+            remaining[p] -= delta * load
         chosen.append(tight_pair)
         uf.union(*tight_pair)
     return chosen

@@ -78,3 +78,19 @@ def max_unit_separated_subset(points, eps: float = 1e-9) -> int:
             if ok:
                 return size
     return best
+
+
+def prune_by_rechecks(instance, solution, feasible):
+    """Minimal pruning by feasibility checks alone: drop edges longest first,
+    then try every Steiner node in reverse id order, and keep each removal
+    after which ``feasible(instance, graph)`` holds."""
+    graph = solution
+    for edge in sorted(graph.edges, key=lambda e: (-float(graph.edges[e]), e)):
+        candidate = graph.without_edge(edge)
+        if feasible(instance, candidate):
+            graph = candidate
+    for node in sorted(graph.steiner_ids(), reverse=True):
+        candidate = graph.without_steiner(node)
+        if feasible(instance, candidate):
+            graph = candidate
+    return graph

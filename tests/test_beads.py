@@ -12,8 +12,8 @@ from relaysynth.beads import (
     tau_integral,
 )
 from relaysynth.connectivity import (
+    element_maxflow,
     is_feasible,
-    q_connectivity_cut,
     tau_star,
     verify_feasible,
 )
@@ -106,8 +106,8 @@ def test_combinatorially_feasible_selection_realizes_feasible():
         for e in res.selected:
             caps[(e.u, e.v)] = caps.get((e.u, e.v), 0) + 1
         for (i, j), r in inst.demands.items():
-            flow, _, _, _ = q_connectivity_cut(
-                caps, inst.unstable, i, j, nodes=range(n)
+            flow, _, _, _ = element_maxflow(
+                caps, inst.unstable, i, j, extra_nodes=range(n)
             )
             assert flow >= r
         # and realizing the selection yields a verified feasible placement

@@ -23,7 +23,6 @@ from relaysynth.connectivity import (
     is_feasible,
     prune_minimal,
     q_connectivity,
-    q_connectivity_cut,
     r_components,
     tau_star,
     verify_feasible,
@@ -38,7 +37,7 @@ from relaysynth.instances import (
     make_instance,
 )
 
-from bruteforce import brute_q_connectivity
+from bruteforce import brute_q_connectivity, prune_by_rechecks
 
 E2 = MetricSpace.euclidean(2)
 
@@ -85,7 +84,7 @@ def test_q_connectivity_rejects_equal_endpoints():
 
 
 def test_parallel_edges_counted_by_capacity():
-    flow, _, _, _ = q_connectivity_cut({(0, 1): 2}, set(), 0, 1)
+    flow, _, _, _ = element_maxflow({(0, 1): 2}, set(), 0, 1)
     assert flow == 2
 
 
@@ -116,8 +115,8 @@ def test_menger_duality_cut_size_matches_flow():
                     caps[(i, j)] = 1
         q = {v for v in range(n) if rng.random() < 0.4}
         u, v = rng.sample(range(n), 2)
-        flow, biset, cut_nodes, cut_edges = q_connectivity_cut(
-            caps, q, u, v, nodes=range(n)
+        flow, biset, cut_nodes, cut_edges = element_maxflow(
+            caps, q, u, v, extra_nodes=range(n)
         )
         assert flow == len(cut_nodes) + len(cut_edges)
         assert u in biset.inner
@@ -351,6 +350,42 @@ def test_prune_output_is_critical_under_flow_check():
             assert verify_feasible(inst, pruned.without_steiner(node))
 
 
+def _prune_cases(rng):
+    """Feasible random solutions, then realized exact-backend solutions with
+    extra random relays."""
+    while True:
+        inst, sol = _random_solution(rng)
+        if is_feasible(inst, sol):
+            yield inst, sol
+        n = rng.randint(3, 5)
+        pts = [Point.at(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(n)]
+        demands = {
+            (i, j): rng.choice((1, 2))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.5
+        } or {(0, 1): 1}
+        inst = make_instance(pts, demands, E2)
+        extra = [Point.at(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(rng.randint(1, 6))]
+        yield inst, realize(inst, tau_integral(inst).selected, extra).solution
+
+
+def test_prune_drops_the_relays_rechecks_drop():
+    # prune_minimal drops the relays its edge pass leaves isolated, with no
+    # feasibility check; the oracle tries every relay with is_feasible.
+    rng = random.Random(79)
+    cases = dropped = 0
+    for inst, sol in _prune_cases(rng):
+        pruned = prune_minimal(inst, sol)
+        want = prune_by_rechecks(inst, sol, is_feasible)
+        assert pruned.steiner == want.steiner
+        assert pruned.edges == want.edges
+        cases += 1
+        dropped += len(pruned.steiner) < len(sol.steiner)
+        if cases >= 60 and dropped >= 25:
+            break
+
+
 def test_prune_rejects_infeasible_input():
     inst = make_instance([Point.at(0, 0), Point.at(3, 0)], {(0, 1): 1}, E2)
     with pytest.raises(ConnectivityError):
@@ -465,6 +500,35 @@ def test_r_components_cover_all_relay_edges():
         for _, comp_edges in comps:
             covered |= comp_edges
         assert covered == relay_edges
+
+
+def test_r_components_match_networkx():
+    # Components of the relay-relay graph, each with every edge that has a
+    # relay end, in order of the smallest relay; isolated relays come in
+    # through ``nodes`` only.
+    rng = random.Random(61)
+    isolated = 0
+    for _ in range(80):
+        n = rng.randint(3, 12)
+        terminals = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        edges = [
+            (a, b) if rng.random() < 0.5 else (b, a)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < 0.25
+        ]
+        nodes = range(n + rng.randint(0, 2))
+        graph = nx.Graph()
+        graph.add_nodes_from(v for v in nodes if v not in terminals)
+        graph.add_edges_from(e for e in edges if not set(e) & terminals)
+        want = []
+        for comp in sorted(nx.connected_components(graph), key=min):
+            comp_edges = {tuple(sorted(e)) for e in edges if set(e) & comp}
+            comp_nodes = set(comp).union(*comp_edges)
+            want.append((frozenset(comp_nodes), frozenset(comp_edges)))
+            isolated += not comp_edges
+        assert r_components(edges, terminals, nodes) == want
+    assert isolated >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -9,13 +10,14 @@ from relaysynth.audits import (
     random_tree,
     replacement_bound_holds,
 )
-from relaysynth.connectivity import is_feasible
+from relaysynth.connectivity import is_feasible, verify_feasible
 from relaysynth.generators import pentagon_instance
 from relaysynth.instances import (
     MetricSpace,
     Point,
     all_pairs_demands,
     make_instance,
+    parse_instance,
 )
 from relaysynth.local_replacement import (
     HypergraphError,
@@ -28,6 +30,7 @@ from relaysynth.steiner import (
     Hyperedge,
     SchemeConfig,
     build_component_hypergraph,
+    mst_baseline,
     mst_pairs,
 )
 
@@ -265,3 +268,43 @@ def test_replacement_runs_on_the_component_hypergraph(inst, k):
     witness_points = {p for e in scheme.selection for p in e.witness}
     assert scheme.solution.steiner
     assert set(scheme.solution.steiner) <= witness_points
+
+
+# In a finite metric a pair witness is a chain of abstract beads, which the
+# scheme places as chains next to the concrete relays of the other witnesses.
+
+
+def _finite_instance(matrix, **fields):
+    metric = {"type": "finite", "matrix": matrix, "delta": 5}
+    return parse_instance(json.dumps(dict(metric=metric, **fields)))
+
+
+def test_scheme_places_finite_bead_chains():
+    inst = _finite_instance(
+        [[0, 1, 2], [1, 0, 1], [2, 1, 0]], terminals=[0, 2], demands=[[0, 1, 1]]
+    )
+    res = st_msp_scheme(inst, SchemeConfig())
+    assert res.size == 1
+    assert res.solution.abstract
+    assert not verify_feasible(inst, res.solution)
+
+
+def test_scheme_finite_hub_and_bead_beat_the_bead_mst():
+    # Node 0 is within unit distance of terminals 1-3; terminal 4 is two away
+    # from terminals 1 and 2, so it joins through one bead.
+    matrix = [
+        [0, 1, 1, 1, 3],
+        [1, 0, 2, 2, 2],
+        [1, 2, 0, 2, 3],
+        [1, 2, 2, 0, 3],
+        [3, 2, 3, 3, 0],
+    ]
+    inst = _finite_instance(matrix, terminals=[1, 2, 3, 4], default_demand=1)
+    res = st_msp_scheme(inst, SchemeConfig())
+    assert res.size == 2
+    assert sorted(res.solution.steiner, key=lambda p: p.is_abstract) == [
+        Point.node(0),
+        Point.bead(),
+    ]
+    assert not verify_feasible(inst, res.solution)
+    assert len(mst_baseline(inst).steiner) == 3
