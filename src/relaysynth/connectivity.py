@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .errors import RelaysynthError
 from .instances import Instance, SolutionGraph, bead_count
-from .simplex import CoverRow, solve_min_cover
+from .simplex import CoverLP, CoverRow
 
 _HALF = Fraction(1, 2)
 _MAX_CUTS = 5000  # row bound of tau_star's constraint generation
@@ -785,6 +785,8 @@ class TauStarResult:
     value: Fraction
     x: Mapping[Tuple[int, int, int], Fraction]
     cuts: int
+    lp_solves: int  # solve calls of the one CoverLP, one per cut round
+    pivots: int  # dual simplex pivots over those solves
 
 
 def tau_star(instance: Instance) -> TauStarResult:
@@ -793,19 +795,21 @@ def tau_star(instance: Instance) -> TauStarResult:
     Variables aggregate the bought copies of one pair in the copy table
     (identical LP columns); free copies are fixed at capacity one and moved
     to the right hand side.  Every cut violated_cuts yields becomes a row, up
-    to _MAX_CUTS rows.
+    to _MAX_CUTS rows.  One CoverLP takes each round's new rows and
+    re-optimizes from the previous round's basis.
     """
     if instance.max_demand == 0:
-        return TauStarResult(Fraction(0), {}, 0)
+        return TauStarResult(Fraction(0), {}, 0, 0, 0)
 
     pairs = [(i, j) for i in range(instance.n) for j in range(i + 1, instance.n)]
     table = copy_table(instance)
     var_of = {p: idx for idx, p in enumerate(table.pair_cost)}
-    costs = [Fraction(c) for c in table.pair_cost.values()]
-    upper = [Fraction(table.max_extra[p]) for p in table.pair_cost]
+    lp = CoverLP(
+        list(table.pair_cost.values()), [table.max_extra[p] for p in table.pair_cost]
+    )
     free_cap = table.base_caps
 
-    rows: List[CoverRow] = []
+    fresh: List[CoverRow] = []
     seen_rows: Set[Tuple[Tuple[int, ...], Fraction]] = set()
 
     def add_cut(crossing, need) -> bool:
@@ -822,7 +826,7 @@ def tau_star(instance: Instance) -> TauStarResult:
         if key in seen_rows:
             return False
         seen_rows.add(key)
-        rows.append(CoverRow(coeffs, rhs))
+        fresh.append(CoverRow(coeffs, rhs))
         return True
 
     # Seed with the singleton cuts of every demand endpoint.
@@ -831,9 +835,11 @@ def tau_star(instance: Instance) -> TauStarResult:
             add_cut([p for p in pairs if v in p], r)
 
     while True:
-        if len(rows) > _MAX_CUTS:
+        if len(seen_rows) > _MAX_CUTS:
             raise ConnectivityError("cut generation exceeded %d rows" % _MAX_CUTS)
-        value, y = solve_min_cover(costs, upper, rows)
+        lp.add_rows(fresh)
+        fresh.clear()
+        value, y = lp.solve()
         caps = table.caps({p: yp for p, yp in zip(table.pair_cost, y) if yp})
         progress = False
         violated = False
@@ -854,4 +860,4 @@ def tau_star(instance: Instance) -> TauStarResult:
             take = min(Fraction(1), left)
             x[p + (copy,)] = take
             left -= take
-    return TauStarResult(Fraction(value), x, len(rows))
+    return TauStarResult(Fraction(value), x, len(seen_rows), lp.solves, lp.pivots)

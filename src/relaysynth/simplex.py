@@ -1,25 +1,40 @@
-"""Exact rational simplex for small covering programs.
+"""Exact rational dual simplex for small covering programs.
 
 Solves   min c.x  s.t.  A x >= b,  0 <= x <= u   in Fraction arithmetic.
 
-The constraint generation callers only ever add valid cut inequalities, so the
-all-at-upper point x = u is feasible and the solver starts there without a
-phase-1.  Bounded variables are handled implicitly (nonbasic at lower or upper
-bound); after a burst of Dantzig pivots the rule falls back to Bland's to rule
-out cycling.
+``CoverLP`` is incremental: ``add_rows`` appends inequalities and ``solve``
+re-optimizes from the basis the previous solve left.  Every column starts
+nonbasic at its lower bound 0 (at its upper bound only when its cost is
+negative) and the surplus variables of the rows form the basis, so every
+reduced cost is dual feasible and no phase 1 is needed.  The surplus values
+A x - b may start negative; dual simplex pivots repair them.
+
+A new row has its basic structural columns eliminated with the current
+tableau rows and enters with its surplus basic at A x - b.  That leaves every
+reduced cost as it was, so the last optimal basis stays dual feasible and the
+next solve re-optimizes it in a few pivots.  This is how constraint
+generation adds cut rows.
+
+Each pivot takes the most violated basic variable as the leaving row (below 0
+or above its upper bound) and, by the ratio test, the nonbasic column whose
+move repairs that row at the least |d_j / a_rj|, ties to the smallest index.
+After _DANTZIG_BUDGET pivots in one solve the leaving row becomes the
+violated one with the smallest basic index (Bland's rule for the dual), which
+rules out cycling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RelaysynthError
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _DANTZIG_BUDGET = 200
-_MAX_PIVOTS = 20_000  # pivot bound of solve_min_cover
+_MAX_PIVOTS = 20_000  # pivot bound of one CoverLP.solve call
 
 
 class SimplexError(RelaysynthError, RuntimeError):
@@ -38,140 +53,150 @@ class CoverRow:
     rhs: Fraction
 
 
+class CoverLP:
+    """min c.x, A x >= b, 0 <= x <= u; rows may be added between solves.
+
+    Variables are the n structural columns followed by one surplus per row.
+    ``solves`` and ``pivots`` count the solve calls and pivots made so far.
+    """
+
+    def __init__(self, costs: Sequence[Fraction], upper: Sequence[Fraction]):
+        self._n = len(costs)
+        self._costs = [Fraction(c) for c in costs]
+        self._upper: List[Optional[Fraction]] = [Fraction(u) for u in upper]
+        self._at_upper = [c < 0 for c in self._costs]
+        self._x = [u if up else _ZERO for u, up in zip(self._upper, self._at_upper)]
+        self._reduced = list(self._costs)
+        self._tab: List[List[Fraction]] = []  # one row per constraint, all variables
+        self._basis: List[int] = []  # basic variable of each row
+        self._row_of: List[Optional[int]] = [None] * self._n  # row of a basic variable
+        self.solves = 0
+        self.pivots = 0
+
+    def add_rows(self, rows: Iterable[CoverRow]) -> None:
+        """Append rows; each must hold at the upper bounds or InfeasibleError."""
+        rows = list(rows)
+        for row in rows:
+            have = sum(Fraction(c) * self._upper[j] for j, c in row.coeffs.items())
+            if have < row.rhs:
+                raise InfeasibleError("row unsatisfiable even at upper bounds")
+        width = len(self._x) + len(rows)
+        for line in self._tab:
+            line.extend([_ZERO] * len(rows))
+        for row in rows:
+            # -A x + s = -b, with the basic structural columns eliminated.
+            s = len(self._x)
+            line = [_ZERO] * width
+            line[s] = _ONE
+            for j, c in row.coeffs.items():
+                line[j] = -Fraction(c)
+            for j in row.coeffs:
+                i = self._row_of[j]
+                factor = line[j]
+                if i is not None and factor:
+                    src = self._tab[i]
+                    for t, v in enumerate(src):
+                        if v:
+                            line[t] -= factor * v
+            self._tab.append(line)
+            self._basis.append(s)
+            self._row_of.append(len(self._basis) - 1)
+            self._upper.append(None)
+            self._at_upper.append(False)
+            self._reduced.append(_ZERO)
+            self._x.append(
+                sum(Fraction(c) * self._x[j] for j, c in row.coeffs.items()) - row.rhs
+            )
+
+    def solve(self) -> Tuple[Fraction, List[Fraction]]:
+        """Re-optimize; return (optimal value, x) over the structural columns."""
+        self.solves += 1
+        pivots = 0
+        while True:
+            r = self._leaving_row(bland=pivots >= _DANTZIG_BUDGET)
+            if r is None:
+                break
+            if pivots == _MAX_PIVOTS:
+                raise SimplexError("pivot limit exceeded")
+            self._pivot(r)
+            pivots += 1
+            self.pivots += 1
+        x = self._x[: self._n]
+        return sum((c * v for c, v in zip(self._costs, x)), _ZERO), x
+
+    def _leaving_row(self, bland: bool) -> Optional[int]:
+        best = None
+        worst = _ZERO
+        for i, v in enumerate(self._basis):
+            val = self._x[v]
+            ub = self._upper[v]
+            if val < 0:
+                gap = -val
+            elif ub is not None and val > ub:
+                gap = val - ub
+            else:
+                continue
+            if bland:
+                if best is None or v < self._basis[best]:
+                    best = i
+            elif gap > worst:
+                best, worst = i, gap
+        return best
+
+    def _pivot(self, r: int) -> None:
+        line = self._tab[r]
+        leave = self._basis[r]
+        below = self._x[leave] < 0
+        target = _ZERO if below else self._upper[leave]
+        nonzero = [j for j, a in enumerate(line) if a]
+
+        # Moving x_j off its bound changes x_leave by -a_rj per unit of x_j;
+        # the move repairs the row when a_rj < 0 exactly if (below xor at upper).
+        enter = -1
+        best = None
+        for j in nonzero:
+            if self._row_of[j] is not None:
+                continue
+            a = line[j]
+            if (a < 0) != (below != self._at_upper[j]):
+                continue
+            ratio = abs(self._reduced[j] / a)
+            if best is None or ratio < best:
+                enter, best = j, ratio
+        if enter < 0:
+            raise InfeasibleError("no point meets the rows inside the box")
+
+        step = (self._x[leave] - target) / line[enter]
+        for i, row in enumerate(self._tab):
+            a = row[enter]
+            if a:
+                self._x[self._basis[i]] -= a * step
+        self._x[enter] += step
+        self._at_upper[leave] = not below
+        self._row_of[leave] = None
+        self._row_of[enter] = r
+        self._basis[r] = enter
+
+        inv = _ONE / line[enter]
+        for j in nonzero:
+            line[j] *= inv
+        for row in self._tab:
+            factor = row[enter]
+            if factor and row is not line:
+                for j in nonzero:
+                    row[j] -= factor * line[j]
+        factor = self._reduced[enter]
+        if factor:
+            for j in nonzero:
+                self._reduced[j] -= factor * line[j]
+
+
 def solve_min_cover(
     costs: Sequence[Fraction],
     upper: Sequence[Fraction],
     rows: Sequence[CoverRow],
 ) -> Tuple[Fraction, List[Fraction]]:
-    """Return (optimal value, x) for min c.x, A x >= b, 0 <= x <= u."""
-    n = len(costs)
-    costs = [Fraction(c) for c in costs]
-    upper = [Fraction(u) for u in upper]
-    for row in rows:
-        have = sum(row.coeffs.get(j, _ZERO) * upper[j] for j in row.coeffs)
-        if have < row.rhs:
-            raise InfeasibleError("row unsatisfiable even at upper bounds")
-
-    m = len(rows)
-    nv = n + m  # structural then surplus variables
-    INF = None
-
-    def ub(j):
-        return upper[j] if j < n else INF
-
-    # Equality form: -A x + s = -b, so the surplus basis starts as the identity.
-    tab = []
-    xb = []
-    basis = []
-    for i, row in enumerate(rows):
-        line = [_ZERO] * nv
-        for j, coeff in row.coeffs.items():
-            line[j] = -Fraction(coeff)
-        line[n + i] = Fraction(1)
-        tab.append(line)
-        basis.append(n + i)
-        slack = sum(Fraction(c) * upper[j] for j, c in row.coeffs.items()) - row.rhs
-        xb.append(slack)
-
-    status = ["UP"] * n + ["LO"] * m  # every structural var starts at its upper bound
-    obj = costs + [_ZERO] * m  # reduced costs (c_B starts at zero: surplus basis)
-
-    pivots = 0
-    while True:
-        if pivots > _MAX_PIVOTS:
-            raise SimplexError("pivot limit exceeded")
-        use_bland = pivots >= _DANTZIG_BUDGET
-
-        enter = -1
-        best = _ZERO
-        for j in range(nv):
-            if status[j] == "LO" and obj[j] < 0:
-                score = -obj[j]
-            elif status[j] == "UP" and obj[j] > 0:
-                score = obj[j]
-            else:
-                continue
-            if use_bland:
-                enter = j
-                break
-            if score > best:
-                best = score
-                enter = j
-        if enter < 0:
-            break  # optimal
-
-        from_lo = status[enter] == "LO"
-        # Basic values move as xb_i - t * d_i while the entering var moves by t.
-        d = [tab[i][enter] if from_lo else -tab[i][enter] for i in range(m)]
-
-        t_limit = ub(enter)  # bound-to-bound flip distance
-        leave_row = -1
-        leave_to = ""
-        for i in range(m):
-            di = d[i]
-            if di > 0:
-                cap = xb[i] / di
-                hit = "LO"
-            elif di < 0:
-                ubi = ub(basis[i])
-                if ubi is None:
-                    continue
-                cap = (ubi - xb[i]) / (-di)
-                hit = "UP"
-            else:
-                continue
-            if t_limit is None or cap < t_limit or (
-                cap == t_limit and leave_row >= 0 and basis[i] < basis[leave_row]
-            ):
-                t_limit = cap
-                leave_row = i
-                leave_to = hit
-
-        if t_limit is None:
-            raise SimplexError("unbounded direction (malformed program)")
-
-        t = t_limit
-        for i in range(m):
-            if d[i]:
-                xb[i] -= t * d[i]
-
-        if leave_row < 0:
-            # Bound flip: the entering variable crosses the whole box.
-            status[enter] = "UP" if from_lo else "LO"
-            pivots += 1
-            continue
-
-        enter_val = t if from_lo else ub(enter) - t
-        out_var = basis[leave_row]
-        status[out_var] = leave_to
-        status[enter] = "B"
-        basis[leave_row] = enter
-        xb[leave_row] = enter_val
-
-        # Pivot the tableau and the reduced-cost row.
-        prow = tab[leave_row]
-        piv = prow[enter]
-        if piv == 0:
-            raise SimplexError("zero pivot")
-        inv = Fraction(1) / piv
-        tab[leave_row] = prow = [v * inv for v in prow]
-        for i in range(m):
-            if i == leave_row:
-                continue
-            factor = tab[i][enter]
-            if factor:
-                row_i = tab[i]
-                tab[i] = [a - factor * b for a, b in zip(row_i, prow)]
-        factor = obj[enter]
-        if factor:
-            obj = [a - factor * b for a, b in zip(obj, prow)]
-        pivots += 1
-
-    x = [_ZERO] * nv
-    for j in range(nv):
-        if status[j] == "UP":
-            x[j] = ub(j)
-    for i in range(m):
-        x[basis[i]] = xb[i]
-    value = sum(costs[j] * x[j] for j in range(n))
-    return value, x[:n]
+    """Return (optimal value, x) for min c.x, A x >= b, 0 <= x <= u, cold."""
+    lp = CoverLP(costs, upper)
+    lp.add_rows(rows)
+    return lp.solve()

@@ -4,6 +4,7 @@ import json
 import math
 import pkgutil
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from relaysynth.errors import RelaysynthError
 from relaysynth.instances import InstanceError
 from relaysynth.local_replacement import HypergraphError
 from relaysynth.reporting import CSV_COLUMNS
-from relaysynth.simplex import SimplexError
+from relaysynth.simplex import CoverLP, CoverRow, SimplexError
 from relaysynth.steiner import OracleBudgetError
 
 
@@ -254,6 +255,22 @@ def test_tau_star_error_exits_two(monkeypatch, tmp_path, capsys):
                    "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err == "error: pivot limit reached\n"
+    assert "Traceback" not in err
+
+
+def test_warm_lp_infeasible_row_exits_two(monkeypatch, tmp_path, capsys):
+    # A row added to a solved CoverLP that no point in the box meets raises
+    # InfeasibleError, a SimplexError, so the command line exits 2.
+    def broken(*args, **kwargs):
+        lp = CoverLP([Fraction(1)], [Fraction(1)])
+        lp.solve()
+        lp.add_rows([CoverRow({0: Fraction(1)}, Fraction(2))])
+
+    monkeypatch.setattr(relaysynth.cli, "tau_star", broken)
+    assert run_cli("solve", "--family", "pentagon", "--algo", "mst",
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: row unsatisfiable even at upper bounds\n"
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from scipy.optimize import linprog
 
+import relaysynth.connectivity
 from relaysynth.beads import realize, tau_integral
 from relaysynth.connectivity import (
     ConnectivityError,
@@ -28,6 +29,7 @@ from relaysynth.connectivity import (
     verify_feasible,
     violated_cuts,
 )
+from relaysynth.generators import uniform_box_instance
 from relaysynth.instances import (
     MetricSpace,
     Point,
@@ -769,6 +771,27 @@ def test_tau_star_solution_is_separation_clean():
         WitnessEdge(i, j, c, 1, x) for (i, j, c), x in res.x.items() if x
     )
     assert fractional_feasible(inst, FractionalBeadSolution(entries)) is None
+
+
+def test_tau_star_reports_its_lp_work(monkeypatch):
+    # One CoverLP solve per cut round, and the counters repeat exactly.
+    inst = uniform_box_instance(14, 6.0, 0, "random")
+    first = tau_star(inst)
+    rounds = []
+
+    def counted(*args):
+        rounds.append(1)
+        return violated_cuts(*args)
+
+    monkeypatch.setattr(relaysynth.connectivity, "violated_cuts", counted)
+    second = tau_star(inst)
+    assert second.value == first.value
+    assert (second.cuts, second.lp_solves, second.pivots) == (
+        first.cuts,
+        first.lp_solves,
+        first.pivots,
+    )
+    assert first.lp_solves == len(rounds) >= 2
 
 
 def test_tau_star_lower_bounds_integral_optimum():
