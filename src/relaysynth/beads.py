@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 # element_maxflow is re-exported: perfbench's self-test looks it up here.
 from .connectivity import (
+    CopyGraph,
     CopyTable,
     copy_table,
     element_maxflow,
-    first_deficiency,
     greedy_patch,
     reverse_delete,
     tau_star,
@@ -142,19 +142,26 @@ class BeadSolveResult:
     certified: bool
     lower_bound: Fraction
     nodes_explored: int
-
-
-class _SearchStop(Exception):
-    pass
+    # Why the search stopped: "bound" (the incumbent reached ceil(tau*)),
+    # "exhausted" (nothing cheaper is left) or "node_cap" (_NODE_CAP nodes);
+    # None for a backend without a search.
+    stop: Optional[str]
 
 
 def tau_integral(instance: Instance) -> BeadSolveResult:
     """Minimum-cost edge multiset meeting every demand, by branch and bound.
 
-    Branching adds one copy across the Menger cut of the first deficient
-    demand; tau_star bounds from below and a reverse-deleted greedy patch
-    seeds the incumbent.  On hitting the node cap the best incumbent is
-    returned flagged non-certified.
+    The search runs on one CopyGraph, built once.  A node branches on the
+    Menger cut of its first deficient demand: each child buys one copy
+    across it, cheapest first, while the node's cost plus that copy stays
+    below the incumbent, and sells it again on the way back.  The incumbent
+    starts as the reverse-deleted greedy patch, and every feasible node is
+    reverse-deleted before it replaces the incumbent, which tightens the
+    cut-off early.  The search stops as soon as the incumbent costs
+    ceil(tau*), the bound tau_star proves (``stop == "bound"``), or when no
+    branch is left (``"exhausted"``); either way the result is certified.
+    After _NODE_CAP nodes it stops with ``"node_cap"`` and returns the
+    incumbent uncertified.
     """
     if instance.n > _MAX_TERMINALS:
         raise SizeCapError(
@@ -163,57 +170,65 @@ def tau_integral(instance: Instance) -> BeadSolveResult:
     table = copy_table(instance)
 
     if not instance.demands:
-        return BeadSolveResult(0, selection_of(table, {}), True, Fraction(0), 0)
+        return BeadSolveResult(0, selection_of(table, {}), True, Fraction(0), 0, "bound")
 
-    if first_deficiency(instance, table.caps(table.max_extra)) is not None:
+    if CopyGraph(instance, table, table.max_extra).first_deficiency() is not None:
         raise BeadError("even the full bead graph misses a demand")
 
-    ts = tau_star(instance)
-    lower = ts.value
+    lower = tau_star(instance).value
     lb_int = math.ceil(lower)
-
     best_counts = reverse_delete(instance, table, greedy_patch(instance, table, {}))
     best_cost = table.cost(best_counts)
-    nodes_seen = [0]
 
+    graph = CopyGraph(instance, table)
+    counts = graph.counts
     visited: Set[Tuple] = set()
-
-    def search(counts, cost):
-        nodes_seen[0] += 1
-        if nodes_seen[0] > _NODE_CAP:
-            raise _SearchStop
-        nonlocal best_counts, best_cost
-        if cost >= best_cost:
-            return
-        defic = first_deficiency(instance, table.caps(counts))
-        if defic is None:
-            best_counts = dict(counts)
-            best_cost = cost
-            return
-        for p in table.candidates(counts, defic.witness):
-            added = cost + table.pair_cost[p]
-            if added >= best_cost:
-                break
-            counts[p] = counts.get(p, 0) + 1
+    nodes = 0
+    # One frame per open node: its cost, its untried candidates, and the
+    # copy bought to reach it (None at the root).
+    frames: List[Tuple[int, Iterator, Optional[Tuple[int, int]]]] = []
+    entering: Optional[Tuple[int, Optional[Tuple[int, int]]]] = (0, None)
+    stop = "bound" if best_cost <= lb_int else "exhausted"
+    while stop == "exhausted" and (entering is not None or frames):
+        if entering is None:
+            cost, pending, bought = frames[-1]
+            p = next(pending, None)
+            if p is None or cost + table.pair_cost[p] >= best_cost:
+                frames.pop()
+                if bought is not None:
+                    graph.sell(bought)
+                continue
+            graph.buy(p)
             key = tuple(sorted(counts.items()))
-            if key not in visited:
+            if key in visited:
+                graph.sell(p)
+            else:
                 visited.add(key)
-                search(counts, added)
-            counts[p] -= 1
-            if counts[p] == 0:
-                del counts[p]
+                entering = (cost + table.pair_cost[p], p)
+            continue
 
-    certified = True
-    if best_cost > lb_int:
-        try:
-            search({}, 0)
-        except _SearchStop:
-            certified = False
+        cost, bought = entering
+        entering = None
+        if nodes == _NODE_CAP:
+            stop = "node_cap"
+            break
+        nodes += 1
+        defic = graph.first_deficiency()
+        if defic is not None:
+            frames.append((cost, iter(table.candidates(counts, defic.witness)), bought))
+            continue
+        best_counts = reverse_delete(instance, table, counts)
+        best_cost = table.cost(best_counts)
+        if best_cost <= lb_int:
+            stop = "bound"
+        if bought is not None:
+            graph.sell(bought)
 
-    best_counts = reverse_delete(instance, table, best_counts)
-    best_cost = table.cost(best_counts)
-    if best_cost <= lb_int:
-        certified = True
     return BeadSolveResult(
-        best_cost, selection_of(table, best_counts), certified, lower, nodes_seen[0]
+        best_cost,
+        selection_of(table, best_counts),
+        stop != "node_cap",
+        lower,
+        nodes,
+        stop,
     )

@@ -21,9 +21,11 @@ Two engines answer that check, and the caller fixes which one runs:
   residual-reachable side of its cut, the intersection of all min-cut source
   sides, so the witness is unique and the lowlink pass returns the same one:
   the first separating element on the tree path from i; its side is what i
-  reaches without it.  The pass serves first_deficiency (branch and bound,
-  greedy patch, reverse delete) and is_feasible (pruning, degree reduction,
-  brute force).  Pruning's relay pass needs no check: after its edge pass
+  reaches without it.  The pass serves CopyGraph, one terminal multigraph
+  that a search over copy counts (branch and bound, greedy patch, reverse
+  delete) changes by one copy at a time, first_deficiency on a given
+  multigraph, and is_feasible (pruning, degree reduction, brute force).
+  Pruning's relay pass needs no check: after its edge pass
   it drops exactly the isolated relays.
 - element_maxflow, one flow per demand pair, serves violated_cuts,
   fractional_feasible and tau_star on fractional capacities, and
@@ -320,8 +322,41 @@ def _deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolatio
             yield DemandViolation((i, j), r, flow, biset, cut_nodes, cut_edges)
 
 
+def _multiplicities(caps, nodes) -> Dict[int, Dict[int, int]]:
+    """The adjacency {v: {w: multiplicity}} of the multigraph ``caps`` over
+    ``nodes``, without its zero-capacity pairs.
+
+    ConnectivityError is raised for any capacity that is not an integer: the
+    lowlink pass reads an edge as separating only when its multiplicity is one.
+    """
+    adj: Dict[int, Dict[int, int]] = {v: {} for v in nodes}
+    for (a, b), c in caps.items():
+        if not isinstance(c, int):
+            raise ConnectivityError("capacity %r of %r is not an integer" % (c, (a, b)))
+        if c > 0:
+            row_a, row_b = adj.setdefault(a, {}), adj.setdefault(b, {})
+            row_a[b] = row_a.get(b, 0) + c
+            row_b[a] = row_b.get(a, 0) + c
+    return adj
+
+
 def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolation]:
     """The violations _deficiencies yields, for an integral multigraph ``caps``.
+
+    Builds the adjacency once and runs _lowlink_deficiencies on it; CopyGraph
+    keeps the one adjacency that changes a copy at a time.
+    """
+    adj = _multiplicities(caps, nodes)
+    demands = instance.demand_pairs()
+    for (i, j, _) in demands:
+        adj.setdefault(i, {})
+        adj.setdefault(j, {})
+    return _lowlink_deficiencies(demands, adj, caps, q)
+
+
+def _lowlink_deficiencies(demands, adj, caps, q) -> Iterator[DemandViolation]:
+    """Unmet ``demands`` of the multigraph ``adj`` (whose pairs are the keys of
+    ``caps``) with Q-nodes ``q``, each with the cut element_maxflow returns.
 
     One lowlink pass decides every demand.  With r <= 2 a demand fails only
     when no path joins i and j, or when one element separates them: an edge
@@ -335,18 +370,6 @@ def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandVio
     The cut's inner part is what i reaches without that element (without
     anything when no path joins the pair).
     """
-    adj: Dict[int, Dict[int, int]] = {v: {} for v in nodes}
-    for (a, b), c in caps.items():
-        if not isinstance(c, int):
-            raise ConnectivityError("capacity %r of %r is not an integer" % (c, (a, b)))
-        if c > 0:
-            row_a, row_b = adj.setdefault(a, {}), adj.setdefault(b, {})
-            row_a[b] = row_a.get(b, 0) + c
-            row_b[a] = row_b.get(a, 0) + c
-    demands = instance.demand_pairs()
-    for (i, j, _) in demands:
-        adj.setdefault(i, {})
-        adj.setdefault(j, {})
     _, disc, low, last, parent = _lowlink(adj)
 
     for (i, j, r) in demands:
@@ -532,41 +555,81 @@ def first_deficiency(instance: Instance, caps) -> Optional[DemandViolation]:
     terminals as the only node-capacitated elements; None when all are met.
 
     ``caps`` maps pairs to integer multiplicities, and ConnectivityError is
-    raised for any other capacity: the answer comes from one lowlink pass,
-    which reads an edge as separating only when its multiplicity is one.
-    It equals the first cut violated_cuts yields on the same capacities.
+    raised for any other capacity.  It equals the first cut violated_cuts
+    yields on the same capacities.  A search over copy counts asks
+    CopyGraph.first_deficiency instead, which keeps its multigraph between
+    checks.
     """
     return next(_unit_deficiencies(instance, caps, instance.unstable, range(instance.n)), None)
 
 
+class CopyGraph:
+    """The terminal multigraph of a copy table under a purchase that changes
+    one copy at a time.
+
+    It is built once from a count map, with the integer check of its
+    capacities.  ``buy`` and ``sell`` then add and remove one bought copy of
+    a pair in place, in ``counts``, ``caps`` (the free plus the bought
+    copies, without zero entries) and the lowlink adjacency, and
+    ``first_deficiency`` runs one lowlink pass on the current multigraph.
+    Branch and bound, greedy_patch and reverse_delete all run on it.
+    """
+
+    def __init__(self, instance: Instance, table: CopyTable, counts=()):
+        self.counts: Dict[Tuple[int, int], int] = dict(counts)
+        self.caps = table.caps(self.counts)
+        self._adj = _multiplicities(self.caps, range(instance.n))
+        self._demands = instance.demand_pairs()
+        self._q = instance.unstable
+
+    def buy(self, pair: Tuple[int, int]) -> None:
+        a, b = pair
+        self.counts[pair] = self.counts.get(pair, 0) + 1
+        self.caps[pair] = self.caps.get(pair, 0) + 1
+        row_a, row_b = self._adj[a], self._adj[b]
+        row_a[b] = row_a.get(b, 0) + 1
+        row_b[a] = row_b.get(a, 0) + 1
+
+    def sell(self, pair: Tuple[int, int]) -> None:
+        """Remove one bought copy of ``pair``; KeyError when none is bought."""
+        a, b = pair
+        rows = ((self.counts, pair), (self.caps, pair), (self._adj[a], b), (self._adj[b], a))
+        for row, key in rows:
+            if row[key] == 1:
+                del row[key]
+            else:
+                row[key] -= 1
+
+    def first_deficiency(self) -> Optional[DemandViolation]:
+        """The module's first_deficiency on the current multigraph."""
+        return next(_lowlink_deficiencies(self._demands, self._adj, self.caps, self._q), None)
+
+
 def greedy_patch(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[int, int], int]:
     """Buy the cheapest copy across the first deficient cut until none is left."""
-    counts = dict(counts)
+    graph = CopyGraph(instance, table, counts)
     while True:
-        defic = first_deficiency(instance, table.caps(counts))
+        defic = graph.first_deficiency()
         if defic is None:
-            return counts
-        candidates = table.candidates(counts, defic.witness)
+            return graph.counts
+        candidates = table.candidates(graph.counts, defic.witness)
         if not candidates:
             raise ConnectivityError("deficient cut with no purchasable copy")
-        p = candidates[0]
-        counts[p] = counts.get(p, 0) + 1
+        graph.buy(candidates[0])
 
 
 def reverse_delete(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[int, int], int]:
     """Drop bought copies, costliest first, while every demand stays met."""
-    counts = dict(counts)
+    graph = CopyGraph(instance, table, counts)
     order = sorted(
         (p for p in counts for _ in range(counts[p])),
         key=lambda p: (-table.pair_cost[p], p),
     )
     for p in order:
-        counts[p] -= 1
-        if first_deficiency(instance, table.caps(counts)) is not None:
-            counts[p] += 1
-        elif counts[p] == 0:
-            del counts[p]
-    return counts
+        graph.sell(p)
+        if graph.first_deficiency() is not None:
+            graph.buy(p)
+    return graph.counts
 
 
 # ---------------------------------------------------------------------------

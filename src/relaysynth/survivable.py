@@ -91,7 +91,9 @@ def sn_backend_primal_dual(instance: Instance) -> BeadSolveResult:
     counts = {p: 1 for p in _moat_forest(instance) if p not in table.base_caps}
     counts = reverse_delete(instance, table, greedy_patch(instance, table, counts))
     lower = tau_star(instance).value
-    return BeadSolveResult(table.cost(counts), selection_of(table, counts), False, lower, 0)
+    return BeadSolveResult(
+        table.cost(counts), selection_of(table, counts), False, lower, 0, None
+    )
 
 
 @dataclass(frozen=True)

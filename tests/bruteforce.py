@@ -3,7 +3,7 @@ they check beyond plain data types."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Set, Tuple
 
 
@@ -60,6 +60,42 @@ def brute_q_connectivity(edges, q, u: int, v: int) -> int:
 
     rec(0, frozenset(), frozenset(), 0)
     return best[0]
+
+
+def brute_min_purchase(n: int, demands, unstable, bead_cost) -> int:
+    """Least cost of a multiset of bead copies meeting every demand, by trying
+    every count map in order of cost.
+
+    ``bead_cost`` maps each pair i < j of the n terminals to its bead count.
+    Each pair has k = max(1, largest demand) parallel copies: the first is
+    free when the pair needs no bead, and every other copy costs its bead
+    count, or one on a free pair.  A count map meets the demand r of (i, j)
+    when brute_q_connectivity on its multigraph, with each copy subdivided by
+    a node of its own outside Q = ``unstable``, reaches r.
+    """
+    k = max([1, *demands.values()])
+    pairs = sorted(bead_cost)
+    options = []  # per pair: (copies, their cost)
+    for p in pairs:
+        free = 1 if bead_cost[p] == 0 else 0
+        price = max(1, bead_cost[p])
+        options.append([(free + c, c * price) for c in range(k - free + 1)])
+    purchases = sorted(
+        (sum(cost for _, cost in choice), [copies for copies, _ in choice])
+        for choice in product(*options)
+    )
+    for cost, multiplicity in purchases:
+        edges = []
+        for (a, b), copies in zip(pairs, multiplicity):
+            for _ in range(copies):
+                mid = n + len(edges) // 2
+                edges += [(a, mid), (mid, b)]
+        if all(
+            brute_q_connectivity(edges, unstable, i, j) >= r
+            for (i, j), r in sorted(demands.items())
+        ):
+            return cost
+    raise ValueError("no count map meets every demand")
 
 
 def max_unit_separated_subset(points, eps: float = 1e-9) -> int:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from bruteforce import brute_min_purchase
+from relaysynth import beads
 from relaysynth.beads import (
     BeadEdge,
     SizeCapError,
@@ -17,12 +19,15 @@ from relaysynth.connectivity import (
     tau_star,
     verify_feasible,
 )
+from relaysynth.generators import draw_box_instance, pentagon_instance
 from relaysynth.instances import (
     MetricSpace,
     Point,
     all_pairs_demands,
+    bead_count,
     make_instance,
 )
+from relaysynth.survivable import sn_backend_primal_dual
 
 E2 = MetricSpace.euclidean(2)
 
@@ -177,3 +182,68 @@ def test_finite_metric_abstract_realization():
     # abstract beads only carry their chain hops
     for a, b in placement.solution.edges:
         assert a < 3 or b < 3 or abs(a - b) == 1
+
+
+def test_tau_integral_matches_exhaustive_minimum():
+    # Differential test of the search against every count map, cheapest
+    # first; the pool mixes demands 1 and 2 with unstable terminals, and
+    # holds searches that stop at ceil(tau*) and searches that run out.
+    rng = random.Random(2)
+    stops = set()
+    for _ in range(40):
+        n = rng.choice((3, 4, 4))
+        pts = [Point.at(rng.uniform(0, 4.5), rng.uniform(0, 4.5)) for _ in range(n)]
+        demands = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                r = rng.choice((0, 1, 2, 2))
+                if r:
+                    demands[(i, j)] = r
+        if not demands:
+            demands[(0, 1)] = rng.choice((1, 2))
+        unstable = [v for v in range(n) if rng.random() < 0.4]
+        inst = make_instance(pts, demands, E2, unstable=unstable)
+        costs = {
+            (i, j): bead_count(inst.terminal_distance(i, j))
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        res = tau_integral(inst)
+        assert res.cost == brute_min_purchase(n, inst.demands, inst.unstable, costs)
+        assert res.certified
+        again = tau_integral(inst)
+        assert (again.nodes_explored, again.stop) == (res.nodes_explored, res.stop)
+        stops.add(res.stop)
+    assert stops == {"bound", "exhausted"}
+
+
+def _probe_pool():
+    # Ten-terminal draws; draw 0 once ran into the node cap.
+    rng = random.Random(11)
+    return [draw_box_instance(rng, 10, 5.0, "random") for _ in range(10)]
+
+
+def test_ten_terminal_pool_certified_inside_the_search():
+    results = [tau_integral(inst) for inst in _probe_pool()]
+    assert [r.cost for r in results] == [11, 10, 10, 9, 8, 6, 7, 9, 10, 9]
+    for r in results:
+        assert r.certified
+        assert r.stop != "node_cap"
+        assert r.nodes_explored <= beads._NODE_CAP
+
+
+def test_stop_reasons(monkeypatch):
+    draw0 = _probe_pool()[0]
+    res = tau_integral(draw0)
+    assert (res.stop, res.cost, math.ceil(res.lower_bound)) == ("bound", 11, 11)
+
+    pent = pentagon_instance()
+    res = tau_integral(pent)
+    assert (res.stop, res.cost, res.lower_bound) == ("exhausted", 4, Fraction(5, 2))
+    assert res.certified
+
+    assert sn_backend_primal_dual(pent).stop is None
+
+    monkeypatch.setattr(beads, "_NODE_CAP", 1)
+    res = tau_integral(pent)
+    assert (res.stop, res.nodes_explored, res.certified) == ("node_cap", 1, False)

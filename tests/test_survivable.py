@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -171,6 +172,21 @@ def test_pipeline_heuristic_never_beats_exact():
         heur = solve_sn_msp_012(inst, "pd", include_witness=False)
         assert heur.cost >= exact.cost
         assert Fraction(exact.cost) >= exact.tau_star_value
+
+
+def test_exact_solve_leaves_nothing_for_the_collector():
+    # The branch-and-bound state is freed when tau_integral returns, not
+    # kept alive by a reference cycle.  Instance 28 of the audit_witness
+    # sweep is its largest search.
+    rng = random.Random(3)
+    inst = [random_survivable_instance(rng, 8, 4.0) for _ in range(29)][28]
+    gc.collect()
+    gc.disable()
+    try:
+        solve_sn_msp_012(inst, "exact")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pipeline_rejects_unknown_backend():
