@@ -21,6 +21,7 @@ from .steiner import (
     HypergraphError,
     SchemeConfig,
     build_component_hypergraph,
+    coord_keys,
     mst_pairs,
     require_all_pairs_unit_demands,
 )
@@ -266,14 +267,14 @@ def st_msp_scheme(
     seen = set()
     terminal_keys = set()
     if instance.metric.kind == "euclidean":
-        terminal_keys = {tuple(round(c, 9) for c in p.coords) for p in instance.terminals}
+        terminal_keys = set(coord_keys([p.coords for p in instance.terminals]))
     for edge in result.all_edges():
         if any(p.is_abstract for p in edge.witness):
             mst = mst_pairs(instance, edge.nodes)
             chains.extend(BeadEdge(i, j, 0, cost) for cost, i, j in mst)
             continue
         for p in edge.witness:
-            key = tuple(round(c, 9) for c in p.coords) if p.coords else ("n", p.index)
+            key = coord_keys([p.coords])[0] if p.coords else ("n", p.index)
             if key in seen or key in terminal_keys:
                 continue
             seen.add(key)

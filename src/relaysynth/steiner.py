@@ -5,13 +5,19 @@ unit-circle intersections, bead points, optional grid) by iterative deepening
 on the number of relay points.  It is exact over that universe; the universe
 itself is heuristically complete, so callers either use analytically known
 cases or cross-validate at two grid resolutions.
+
+The universe stores its unit-disk relation twice: as a boolean matrix, and as
+one Python-int bitmask row per point, derived from the matrix when the
+universe is built.  The search grows its set of touched points by OR-ing
+rows, and the oracle checks the connectivity of each candidate set by a bit
+BFS on them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -100,17 +106,36 @@ def mst_baseline(instance: Instance) -> SolutionGraph:
 # Candidate universe
 
 
+_DEDUP_CHUNK = 1024  # candidate rows converted to Python floats at a time
+
+
 @dataclass(frozen=True)
 class CandidateUniverse:
-    """Shared relay-position candidates; the first n entries are the terminals."""
+    """Shared relay-position candidates; the first n entries are the terminals.
+
+    ``rows[i]`` is row i of ``adjacency`` as a bitmask: bit j is set when
+    points i and j are within unit distance.
+    """
 
     points: Tuple[Point, ...]
     adjacency: np.ndarray  # bool matrix, unit-disk relation over points
     truncated: bool
+    rows: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        packed = np.packbits(self.adjacency, axis=1, bitorder="little")
+        rows = tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+        object.__setattr__(self, "rows", rows)
 
 
-def _round_key(coords: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(round(c, 9) for c in coords)
+def coord_keys(coords) -> List[Tuple[float, ...]]:
+    """Dedup keys of a block of coordinate rows: each coordinate rounded to 9
+    decimals by numpy's rule (scale, round half to even, unscale).
+
+    Every coincidence test between Euclidean points uses these keys: the
+    universe's dedup and the scheme's witness union.
+    """
+    return [tuple(r) for r in np.round(np.asarray(coords, dtype=float), 9).tolist()]
 
 
 def build_candidate_universe(
@@ -144,20 +169,21 @@ def build_candidate_universe(
 
     def push_block(block: np.ndarray) -> None:
         nonlocal truncated
-        for xy in block:
-            key = _round_key(xy)
-            if key in seen:
-                continue
-            if len(coords) >= cap:
-                truncated = True
-                return
-            seen.add(key)
-            coords.append((float(xy[0]), float(xy[1])))
+        for start in range(0, len(block), _DEDUP_CHUNK):
+            chunk = block[start:start + _DEDUP_CHUNK]
+            for key, xy in zip(coord_keys(chunk), chunk.tolist()):
+                if key in seen:
+                    continue
+                if len(coords) >= cap:
+                    truncated = True
+                    return
+                seen.add(key)
+                coords.append((xy[0], xy[1]))
 
     # Terminals always occupy indices 0..n-1, even at coincident locations.
-    for p in instance.terminals:
-        seen.add(_round_key(p.coords))
-        coords.append((float(p.coords[0]), float(p.coords[1])))
+    terminal_coords = [p.coords for p in instance.terminals]
+    seen.update(coord_keys(terminal_coords))
+    coords.extend((float(x), float(y)) for x, y in terminal_coords)
 
     def pair_arrays(points):
         arr = np.asarray(points, dtype=float)
@@ -205,8 +231,13 @@ def build_candidate_universe(
         push_block(mesh)
 
     arr = np.array(coords)
-    diff = arr[:, None, :] - arr[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = np.subtract.outer(arr[:, 0], arr[:, 0])
+    dist *= dist
+    dy = np.subtract.outer(arr[:, 1], arr[:, 1])
+    dy *= dy
+    dist += dy
+    del dy
+    np.sqrt(dist, out=dist)
     adj = dist <= 1.0 + EPS_GEO
     np.fill_diagonal(adj, False)
     points = tuple(Point.at(*c) for c in coords)
@@ -217,16 +248,27 @@ def build_candidate_universe(
 # Exact small-set oracle
 
 
-def _connects(adj: np.ndarray, nodes: Sequence[int], targets: Sequence[int]) -> bool:
-    nodes = list(nodes)
-    joined = UnionFind(nodes)
-    for i, u in enumerate(nodes):
-        row = adj[u]
-        for v in nodes[i + 1:]:
-            if row[v]:
-                joined.union(u, v)
-    root = joined.find(targets[0])
-    return all(joined.find(t) == root for t in targets[1:])
+def _connects(
+    rows: Sequence[int], nodes: Sequence[int], targets: Sequence[int]
+) -> bool:
+    """Whether the targets, which are among the nodes, lie in one component
+    of the unit-disk graph that ``rows`` induce on the nodes; a bit BFS from
+    the first target."""
+    pending = 0
+    for v in nodes:
+        pending |= 1 << v
+    goal = 0
+    for t in targets:
+        goal |= 1 << t
+    frontier = 1 << targets[0]
+    pending ^= frontier
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        reached = rows[low.bit_length() - 1] & pending
+        pending ^= reached
+        frontier |= reached
+    return not pending & goal
 
 
 def _deepening_search(
@@ -240,41 +282,45 @@ def _deepening_search(
     """DFS over candidate (multi)sets of the given size, connectivity-pruned.
 
     Every chosen point must touch a target or an earlier choice, which is
-    complete for inclusion-minimal relay sets.
+    complete for inclusion-minimal relay sets.  Children are tried in
+    ascending point order, and each state counts once against the cap.
     """
-    adj = universe.adjacency
-    n_points = len(universe.points)
-    target_mask = np.zeros(n_points, dtype=bool)
-    for t in targets:
-        target_mask |= adj[t]
-    states = [0]
-    seen: Set[Tuple[int, ...]] = set()
-    found: List[Optional[Tuple[int, ...]]] = [None]
-
-    def rec(chosen: Tuple[int, ...], mask: np.ndarray):
-        if found[0] is not None:
-            return
-        states[0] += 1
-        if states[0] > state_cap:
-            raise OracleBudgetError("state cap exceeded")
-        if len(chosen) == size:
-            if accept(chosen):
-                found[0] = chosen
-            return
-        allowed = np.flatnonzero(mask)
-        for c in allowed.tolist():
-            if not with_duplicates and c in chosen:
-                continue
-            nxt = tuple(sorted(chosen + (c,)))
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            rec(nxt, mask | adj[c])
-
     if size == 0:
         return () if accept(()) else None
-    rec((), target_mask)
-    return found[0]
+    rows = universe.rows
+    reach = 0
+    for t in targets:
+        reach |= rows[t]
+    states = 1  # the empty choice
+    if states > state_cap:
+        raise OracleBudgetError("state cap exceeded")
+    seen: Set[Tuple[int, ...]] = set()
+    # Each frame: a chosen tuple, the points it touches, and the untried ones.
+    stack = [((), reach, reach)]
+    while stack:
+        chosen, reach, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            continue
+        low = untried & -untried
+        stack[-1] = (chosen, reach, untried ^ low)
+        c = low.bit_length() - 1
+        if not with_duplicates and c in chosen:
+            continue
+        nxt = tuple(sorted(chosen + (c,)))
+        if nxt in seen:
+            continue
+        seen.add(nxt)
+        states += 1
+        if states > state_cap:
+            raise OracleBudgetError("state cap exceeded")
+        if len(nxt) == size:
+            if accept(nxt):
+                return nxt
+            continue
+        grown = reach | rows[c]
+        stack.append((nxt, grown, grown))
+    return None
 
 
 def exact_component_oracle(
@@ -301,10 +347,10 @@ def exact_component_oracle(
     ).points
 
     exact = not universe.truncated
-    adj = universe.adjacency
+    rows = universe.rows
 
     def accept(chosen):
-        return _connects(adj, list(subset) + list(chosen), subset)
+        return _connects(rows, subset + list(chosen), subset)
 
     for size in range(0, min(ub, _MAX_STEINER)):
         try:
@@ -392,7 +438,8 @@ def build_component_hypergraph(
     which keeps the stored table consistent with witness reuse.
     """
     n = instance.n
-    total = sum(math.comb(n, j) for j in range(2, config.k + 1))
+    top = min(config.k, n)
+    total = sum(math.comb(n, j) for j in range(2, top + 1))
     if total > config.hypergraph_budget:
         raise InstanceError(
             "hypergraph of %d edges exceeds budget; lower k" % total
@@ -400,7 +447,7 @@ def build_component_hypergraph(
     universe = build_candidate_universe(instance, config)
     pair_costs = bead_costs(instance)
     table: Dict[FrozenSet[int], Hyperedge] = {}
-    for j in range(2, min(config.k, n) + 1):
+    for j in range(2, top + 1):
         for combo in itertools.combinations(range(n), j):
             key = frozenset(combo)
             if j == 2:

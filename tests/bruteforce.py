@@ -6,6 +6,10 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
+from relaysynth.connectivity import UnionFind
+
 
 def enumerate_simple_paths(edges, u: int, v: int) -> List[Tuple[int, ...]]:
     adj: Dict[int, Set[int]] = {}
@@ -130,3 +134,97 @@ def prune_by_rechecks(instance, solution, feasible):
         if feasible(instance, candidate):
             graph = candidate
     return graph
+
+
+def connects_by_union_find(adj, nodes, targets) -> bool:
+    """Whether the targets lie in one class of the relation ``adj`` (a bool
+    matrix) restricted to the nodes, by union-find over every node pair."""
+    nodes = list(nodes)
+    joined = UnionFind(nodes)
+    for i, u in enumerate(nodes):
+        row = adj[u]
+        for v in nodes[i + 1:]:
+            if row[v]:
+                joined.union(u, v)
+    root = joined.find(targets[0])
+    return all(joined.find(t) == root for t in targets[1:])
+
+
+def reference_universe(terminals, depth: int, cap: int, eps: float, grid=None):
+    """The planar candidate universe, deduplicated one row at a time.
+
+    Candidates come in blocks: the unit-circle intersections of every point
+    pair, ``depth`` times over; the interior bead points of every pair
+    segment, grouped by bead count; then an optional grid of spacing
+    ``grid``.  A row is kept unless its coordinates, each rounded by numpy's
+    scalar ``round(x, 9)``, repeat a kept row's; the first new row past
+    ``cap`` points stops the build as truncated.  The relation is the full
+    pairwise difference array reduced over its last axis.
+
+    Returns (coords, adjacency, truncated, origin), where origin[i] is the
+    (block, row) that produced point i, with block -1 for the terminals.
+    """
+    coords = [(float(x), float(y)) for x, y in terminals]
+    origin = [(-1, i) for i in range(len(coords))]
+    seen = {tuple(round(c, 9) for c in np.asarray(xy)) for xy in coords}
+    blocks = [0]
+    truncated = False
+
+    def push(block) -> bool:
+        b = blocks[0]
+        blocks[0] += 1
+        for row_no, xy in enumerate(block):
+            key = tuple(round(c, 9) for c in xy)
+            if key in seen:
+                continue
+            if len(coords) >= cap:
+                return True
+            seen.add(key)
+            coords.append((float(xy[0]), float(xy[1])))
+            origin.append((b, row_no))
+        return False
+
+    def pairs():
+        arr = np.asarray(coords, dtype=float)
+        ii, jj = np.triu_indices(len(arr), k=1)
+        return arr[ii], arr[jj]
+
+    for _ in range(depth):
+        if len(coords) < 2 or truncated:
+            break
+        a, b = pairs()
+        diff = b - a
+        d2 = (diff * diff).sum(axis=1)
+        mask = (d2 > 0.0) & (d2 <= 4.0)
+        if mask.any():
+            a, b, diff, d2 = a[mask], b[mask], diff[mask], d2[mask]
+            h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
+            mid = (a + b) / 2.0
+            offset = np.stack([-diff[:, 1], diff[:, 0]], axis=1)
+            offset = offset * (h / np.sqrt(d2))[:, None]
+            truncated = push(np.concatenate([mid + offset, mid - offset]))
+
+    if not truncated and len(coords) >= 2:
+        a, b = pairs()
+        d = np.sqrt(((b - a) ** 2).sum(axis=1))
+        counts = np.maximum(np.ceil(d - eps).astype(int) - 1, 0)
+        for c in sorted(set(counts.tolist()) - {0}):
+            sel = counts == c
+            aa, bb = a[sel], b[sel]
+            for step in range(1, c + 1):
+                truncated = truncated or push(aa + (step / (c + 1)) * (bb - aa))
+            if truncated:
+                break
+
+    if grid and not truncated:
+        xs = [x for x, _ in terminals]
+        ys = [y for _, y in terminals]
+        gx = np.arange(min(xs) - 1.0, max(xs) + 1.0 + 1e-12, grid)
+        gy = np.arange(min(ys) - 1.0, max(ys) + 1.0 + 1e-12, grid)
+        truncated = push(np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2))
+
+    arr = np.array(coords)
+    diff = arr[:, None, :] - arr[None, :, :]
+    adj = np.sqrt((diff * diff).sum(axis=2)) <= 1.0 + eps
+    np.fill_diagonal(adj, False)
+    return coords, adj, truncated, origin

@@ -1,10 +1,14 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bruteforce import connects_by_union_find, reference_universe
+from relaysynth import steiner
 from relaysynth.connectivity import is_feasible
+from relaysynth.generators import uniform_box_instance
 from relaysynth.instances import (
     EPS_GEO,
     InstanceError,
@@ -17,11 +21,13 @@ from relaysynth.instances import (
 from relaysynth.steiner import (
     OracleBudgetError,
     SchemeConfig,
+    _connects,
     brute_force_opt,
     build_candidate_universe,
     build_component_hypergraph,
     exact_component_oracle,
     mst_baseline,
+    mst_pairs,
 )
 
 E2 = MetricSpace.euclidean(2)
@@ -239,3 +245,130 @@ def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(seed):
     assert np.array_equal(universe.adjacency, _unit_disk_relation(universe, fin))
     ids = [p.index for p in universe.points]
     assert universe.adjacency[ids.index(0), ids.index(1)]
+
+
+def test_hypergraph_budget_counts_only_sizes_up_to_n(monkeypatch):
+    # Sizes beyond n add no subsets, so a huge k costs nothing extra.
+    comb = math.comb
+    sizes = []
+
+    def counted_comb(n, j):
+        sizes.append(j)
+        assert len(sizes) <= 100, "the budget sum runs past n"
+        return comb(n, j)
+
+    monkeypatch.setattr(math, "comb", counted_comb)
+    inst = pentagon_instance()
+    huge = build_component_hypergraph(inst, SchemeConfig(k=10**12))
+    assert sizes == [2, 3, 4, 5]
+    assert huge.edges == build_component_hypergraph(inst, SchemeConfig(k=5)).edges
+
+
+def _random_node_set(rng, universe, size):
+    # Half the sets grow along the relation from one point, so that both
+    # outcomes of the connectivity check occur often.
+    order = len(universe.points)
+    nodes = [rng.randrange(order)]
+    while len(nodes) < size:
+        if rng.random() < 0.5:
+            near = np.flatnonzero(universe.adjacency[rng.choice(nodes)]).tolist()
+            if near:
+                nodes.append(rng.choice(near))
+                continue
+        nodes.append(rng.randrange(order))
+    rng.shuffle(nodes)
+    return nodes
+
+
+def test_bitmask_connects_matches_union_find_reference():
+    outcomes = {True: 0, False: 0}
+    for seed in range(10):
+        rng = random.Random(seed)
+        inst = uniform_box_instance(5, 3.0, seed, "all-1")
+        universe = build_candidate_universe(
+            inst, SchemeConfig(max_candidates=rng.choice((20, 40, 80)))
+        )
+        for _ in range(150):
+            nodes = _random_node_set(rng, universe, rng.randint(2, 14))
+            distinct = sorted(set(nodes))
+            targets = rng.sample(distinct, min(len(distinct), rng.randint(1, 5)))
+            expected = connects_by_union_find(universe.adjacency, nodes, targets)
+            got = _connects(universe.rows, nodes, targets)
+            assert got == expected, (seed, nodes, targets)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def _reference_case(kind):
+    """(instance, config) for one kind of cut, at the current dedup chunk."""
+    if kind == "none":
+        inst = uniform_box_instance(3, 1.5, 0, "all-1")
+        return inst, SchemeConfig(max_candidates=3000)
+    if kind == "grid":
+        inst = uniform_box_instance(4, 2.0, 1, "all-1")
+        return inst, SchemeConfig(
+            candidate_depth=1, grid_resolution=0.3, max_candidates=3000
+        )
+    inst = uniform_box_instance(5, 3.0, 0, "all-1")
+    terminals = [p.coords for p in inst.terminals]
+    origin = reference_universe(terminals, 2, 1500, EPS_GEO)[3]
+    chunk = steiner._DEDUP_CHUNK
+    # The first point that a block's second or later chunk contributes.
+    first = next(i for i, (_, row) in enumerate(origin) if row >= chunk)
+    if kind == "boundary":
+        # The cap fills on the last new row of a chunk; the next new row,
+        # in a later chunk, finds it full.
+        cap = first
+    else:
+        cap = first - 7
+        assert origin[cap][1] % chunk not in (0, chunk - 1)
+    return inst, SchemeConfig(max_candidates=cap)
+
+
+@pytest.mark.parametrize("chunk", [steiner._DEDUP_CHUNK, 16])
+@pytest.mark.parametrize("kind", ["inside", "boundary", "none", "grid"])
+def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
+    monkeypatch.setattr(steiner, "_DEDUP_CHUNK", chunk)
+    inst, config = _reference_case(kind)
+    coords, adj, truncated, _ = reference_universe(
+        [p.coords for p in inst.terminals],
+        config.candidate_depth,
+        config.max_candidates,
+        EPS_GEO,
+        config.grid_resolution,
+    )
+    assert truncated == (kind in ("inside", "boundary"))
+    universe = build_candidate_universe(inst, config)
+    assert universe.points == tuple(Point.at(*xy) for xy in coords)
+    assert np.array_equal(universe.adjacency, adj)
+    assert universe.truncated == truncated
+    for i, row in enumerate(universe.rows):
+        bits = [j for j in range(len(coords)) if row >> j & 1]
+        assert bits == np.flatnonzero(adj[i]).tolist()
+
+
+@pytest.mark.parametrize(
+    "subset, depth, needed, found",
+    [
+        ((0, 1, 2, 3, 4), 1, 1353, 2),
+        ((0, 1, 2, 3), 2, 12005, 2),
+    ],
+)
+def test_oracle_search_effort_is_pinned(subset, depth, needed, found):
+    # The deepening search needs exactly `needed` states in its largest
+    # size; one fewer ends it at the bead-MST fallback.
+    inst = uniform_box_instance(5, 3.0, 4, "all-1")
+    fallback = sum(cost for cost, _, _ in mst_pairs(inst, subset))
+    assert fallback > found
+    cap = 3000 if depth == 1 else 1500
+    base = SchemeConfig(k=5, candidate_depth=depth, max_candidates=cap)
+    universe = build_candidate_universe(inst, base)
+
+    def oracle(state_cap):
+        config = replace(base, state_cap=state_cap)
+        return exact_component_oracle(inst, subset, config, universe)
+
+    short = oracle(needed - 1)
+    assert (short.cost, short.exact) == (fallback, False)
+    enough = oracle(needed)
+    assert (enough.cost, enough.exact) == (found, not universe.truncated)
