@@ -20,8 +20,8 @@ from .connectivity import (
     CopyTable,
     copy_table,
     element_maxflow,
-    greedy_patch,
     reverse_delete,
+    round_tau_star,
     tau_star,
 )
 from .errors import RelaysynthError
@@ -155,11 +155,13 @@ def tau_integral(instance: Instance) -> BeadSolveResult:
     Menger cut of its first deficient demand: each child buys one copy
     across it, cheapest first, while the node's cost plus that copy stays
     below the incumbent, and sells it again on the way back.  The incumbent
-    starts as the reverse-deleted greedy patch, and every feasible node is
-    reverse-deleted before it replaces the incumbent, which tightens the
-    cut-off early.  The search stops as soon as the incumbent costs
-    ceil(tau*), the bound tau_star proves (``stop == "bound"``), or when no
-    branch is left (``"exhausted"``); either way the result is certified.
+    starts as round_tau_star's purchase, the one the pd backend returns:
+    tau_star's vertex rounded at 1/2, patched if needed, and
+    reverse-deleted.  Every feasible node is reverse-deleted before it
+    replaces the incumbent, which tightens the cut-off early.  The search
+    stops as soon as the incumbent costs ceil(tau*), the bound tau_star
+    proves (``stop == "bound"``), or when no branch is left
+    (``"exhausted"``); either way the result is certified.
     After _NODE_CAP nodes it stops with ``"node_cap"`` and returns the
     incumbent uncertified.
     """
@@ -175,9 +177,10 @@ def tau_integral(instance: Instance) -> BeadSolveResult:
     if CopyGraph(instance, table, table.max_extra).first_deficiency() is not None:
         raise BeadError("even the full bead graph misses a demand")
 
-    lower = tau_star(instance).value
+    tau = tau_star(instance)
+    lower = tau.value
     lb_int = math.ceil(lower)
-    best_counts = reverse_delete(instance, table, greedy_patch(instance, table, {}))
+    best_counts = round_tau_star(instance, table, tau)
     best_cost = table.cost(best_counts)
 
     graph = CopyGraph(instance, table)

@@ -7,7 +7,8 @@ separation oracle of the cut relaxation, and its exact optimum tau_star.
 
 This module is the one cut engine for {0,1,2} demands.  It owns the bead
 copy table of every terminal pair, the pairs crossing a biset, the greedy
-patch and reverse delete over copy counts, and the Menger check of every
+patch and reverse delete over copy counts, the rounding of tau_star's
+vertex that seeds both {0,1,2} backends, and the Menger check of every
 demand: the element max-flow capped at the demand r, with each Q-node of
 capacity one.  Its min cut is a biset whose boundary nodes cost one each, so
 a violated demand r <= 2 has a witness with at most one node on the boundary,
@@ -630,6 +631,23 @@ def reverse_delete(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[i
         if graph.first_deficiency() is not None:
             graph.buy(p)
     return graph.counts
+
+
+def round_tau_star(
+    instance: Instance, table: CopyTable, tau: TauStarResult
+) -> Dict[Tuple[int, int], int]:
+    """Buy every non-free copy at x >= 1/2 in tau_star's vertex, complete
+    the purchase with greedy_patch, and reverse-delete it.
+
+    The rounded copies cost at most 2 * tau*, since each costs at most twice
+    its share of the LP value.  No theorem says they meet every demand, so
+    greedy_patch completes them; a purchase it had to patch carries no factor.
+    """
+    counts: Dict[Tuple[int, int], int] = {}
+    for (a, b, copy), value in tau.x.items():
+        if value >= _HALF and copy >= table.base_caps.get((a, b), 0):
+            counts[(a, b)] = counts.get((a, b), 0) + 1
+    return reverse_delete(instance, table, greedy_patch(instance, table, counts))
 
 
 # ---------------------------------------------------------------------------

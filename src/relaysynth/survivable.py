@@ -1,18 +1,20 @@
 """{0,1,2}-demand solvers on the bead graph plus the relay degree-reduction pass.
 
-The exact backend is the branch-and-bound bead optimum (``tau_integral``);
-the primal-dual backend grows moats for the connectivity-1 skeleton, patches
-remaining 2-connectivity deficits greedily, and reverse-deletes.  Both return
-a ``BeadSolveResult``, and the pipeline realizes the selection, re-verifies
-it, and reports the cost next to the fractional optimum.
+The exact backend is the branch-and-bound bead optimum (``tau_integral``).
+The primal-dual backend (``sn_backend_primal_dual``, backend key ``"pd"``)
+rounds tau_star's vertex: ``round_tau_star`` buys every copy at x >= 1/2,
+lets ``greedy_patch`` complete the purchase if a demand is still unmet, and
+reverse-deletes.  The exact search starts from the same purchase.  Both
+return a ``BeadSolveResult``, and the pipeline realizes the selection,
+re-verifies it, and reports the cost next to the fractional optimum.
 
-The primal-dual backend is a heuristic with no proven factor.  The
-Goemans-Williamson factor-2 proof for demands in {0,1} deletes edges in
-reverse order of addition; the shared ``reverse_delete`` drops the costliest
-copy first instead.  The moat forest stays as the patch's seed: seeding
-``greedy_patch`` with nothing instead changes pd on one instance of the
-sweep, benchmark and uniform-box pools (9 relays become 10, against an
-optimum of 8).
+The rounded copies cost at most 2 * tau*, and ``audit_witness`` checks
+tau* <= Delta * |S| / 2 for feasible placements S, so pd costs at most
+2 * tau* <= Delta * opt whenever the rounding alone meets every demand.  No
+theorem says it does; a patched purchase carries no factor, and pd is
+reported ``certified=False`` either way.  The function and the ``"pd"`` key
+keep their primal-dual names because the CLI and the benchmark call them; a
+rename waits for a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -20,22 +22,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from .beads import BeadEdge, BeadSolveResult, realize, selection_of, tau_integral
 from .connectivity import (
     ConnectivityError,
     FractionalBeadSolution,
-    UnionFind,
     adjacency_of,
-    bead_costs,
     copy_table,
-    greedy_patch,
     half_integral_witness,
     fractional_feasible,
     is_feasible,
     prune_minimal,
-    reverse_delete,
+    round_tau_star,
     tau_star,
     verify_feasible,
 )
@@ -44,55 +43,17 @@ from .instances import Instance, InstanceError, SolutionGraph, pairwise_distance
 _MAX_ROUNDS = 10_000  # swap-round bound of degree_reduce
 
 
-def _moat_forest(instance: Instance) -> List[Tuple[int, int]]:
-    """Primal-dual forest for the connectivity-1 part, grown in exact duals."""
-    want = [(i, j) for (i, j, r) in instance.demand_pairs() if r >= 1]
-    if not want:
-        return []
-    remaining = {p: Fraction(c) for p, c in bead_costs(instance).items()}
-    uf = UnionFind(range(instance.n))
-    find = uf.find
-
-    def active_components() -> Set[int]:
-        act = set()
-        for (u, v) in want:
-            if find(u) != find(v):
-                act.add(find(u))
-                act.add(find(v))
-        return act
-
-    chosen: List[Tuple[int, int]] = []
-    while True:
-        act = active_components()
-        if not act:
-            break
-        loads = {}
-        for p in remaining:
-            ru, rv = find(p[0]), find(p[1])
-            if ru != rv and (ru in act or rv in act):
-                loads[p] = (ru in act) + (rv in act)
-        if not loads:
-            raise ConnectivityError("no growable moat for an unmet demand")
-        delta, tight_pair = min((remaining[p] / load, p) for p, load in loads.items())
-        for p, load in loads.items():
-            remaining[p] -= delta * load
-        chosen.append(tight_pair)
-        uf.union(*tight_pair)
-    return chosen
-
-
 def sn_backend_primal_dual(instance: Instance) -> BeadSolveResult:
-    """Moat-grown forest, greedy 2-connectivity patching, reverse delete.
+    """tau_star's vertex rounded at 1/2, patched if needed, reverse-deleted.
 
     Never certified, with tau* as its lower bound; it explores no search
     nodes.
     """
     table = copy_table(instance)
-    counts = {p: 1 for p in _moat_forest(instance) if p not in table.base_caps}
-    counts = reverse_delete(instance, table, greedy_patch(instance, table, counts))
-    lower = tau_star(instance).value
+    tau = tau_star(instance)
+    counts = round_tau_star(instance, table, tau)
     return BeadSolveResult(
-        table.cost(counts), selection_of(table, counts), False, lower, 0, None
+        table.cost(counts), selection_of(table, counts), False, tau.value, 0, None
     )
 
 

@@ -185,9 +185,10 @@ def test_finite_metric_abstract_realization():
 
 
 def test_tau_integral_matches_exhaustive_minimum():
-    # Differential test of the search against every count map, cheapest
-    # first; the pool mixes demands 1 and 2 with unstable terminals, and
-    # holds searches that stop at ceil(tau*) and searches that run out.
+    # Differential test of the search, and of the pd backend that shares its
+    # starting purchase, against every count map, cheapest first; the pool
+    # mixes demands 1 and 2 with unstable terminals, and holds searches that
+    # stop at ceil(tau*) and searches that run out.
     rng = random.Random(2)
     stops = set()
     for _ in range(40):
@@ -211,6 +212,7 @@ def test_tau_integral_matches_exhaustive_minimum():
         res = tau_integral(inst)
         assert res.cost == brute_min_purchase(n, inst.demands, inst.unstable, costs)
         assert res.certified
+        assert res.cost <= sn_backend_primal_dual(inst).cost
         again = tau_integral(inst)
         assert (again.nodes_explored, again.stop) == (res.nodes_explored, res.stop)
         stops.add(res.stop)
@@ -223,13 +225,29 @@ def _probe_pool():
     return [draw_box_instance(rng, 10, 5.0, "random") for _ in range(10)]
 
 
-def test_ten_terminal_pool_certified_inside_the_search():
-    results = [tau_integral(inst) for inst in _probe_pool()]
+@pytest.fixture(scope="module")
+def probe_results():
+    return [tau_integral(inst) for inst in _probe_pool()]
+
+
+def test_ten_terminal_pool_certified_inside_the_search(probe_results):
+    results = probe_results
     assert [r.cost for r in results] == [11, 10, 10, 9, 8, 6, 7, 9, 10, 9]
     for r in results:
         assert r.certified
         assert r.stop != "node_cap"
         assert r.nodes_explored <= beads._NODE_CAP
+
+
+def test_ten_terminal_pool_search_effort(probe_results):
+    # Pins the search effort that the rounded incumbent buys: the pool took
+    # 116,261 nodes from a greedy-patch incumbent.  A second solve of every
+    # draw repeats each count and stop.
+    assert sum(r.nodes_explored for r in probe_results) == 23_999
+    again = [tau_integral(inst) for inst in _probe_pool()]
+    assert [(r.nodes_explored, r.stop) for r in again] == [
+        (r.nodes_explored, r.stop) for r in probe_results
+    ]
 
 
 def test_stop_reasons(monkeypatch):

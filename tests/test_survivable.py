@@ -5,14 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from relaysynth import connectivity
 from relaysynth.audits import random_survivable_instance
 from relaysynth.beads import realize, tau_integral
 from relaysynth.connectivity import (
     ConnectivityError,
+    CopyGraph,
+    TauStarResult,
     copy_table,
     first_deficiency,
+    greedy_patch,
     is_feasible,
     prune_minimal,
+    round_tau_star,
+    tau_star,
     verify_feasible,
 )
 from relaysynth.instances import (
@@ -69,7 +75,7 @@ def test_primal_dual_matches_exact_on_examples():
 
 
 def test_primal_dual_pure_forest_for_unit_demands():
-    # with no doubled demand the second phase has nothing to patch
+    # the rounded vertex buys the two one-bead pairs and nothing to patch
     pts = [Point.at(0, 0), Point.at(2, 0), Point.at(4, 0)]
     inst = make_instance(pts, {(0, 1): 1, (1, 2): 1}, E2)
     res = sn_backend_primal_dual(inst)
@@ -130,17 +136,92 @@ def test_primal_dual_selection_is_minimal():
     # Finite-metric beads realize as chains whose only adjacencies are their
     # own hops, so the realized graph loses exactly the dropped copy.  Planar
     # beads of different pairs may land within unit distance of each other,
-    # so there only the bead multigraph is checked.
+    # so there only the bead multigraph is checked.  Rounded purchases are
+    # small, so the pool is large enough to keep 100 copies under test.
     rng = random.Random(61)
     bought = 0
-    for _ in range(20):
+    for _ in range(30):
         inst = _random_finite_instance(rng, rng.randint(8, 10))
         bought += _bought_copies_are_each_needed(inst, check_realized=True)
     for n in (8, 9, 10):
-        for seed in (0, 1):
+        for seed in range(4):
             inst = uniform_box_instance(n, 4.0, seed, "random")
             bought += _bought_copies_are_each_needed(inst, check_realized=False)
     assert bought >= 100
+
+
+def _rounded_vertex(table, tau):
+    """The non-free copies at x >= 1/2 in tau_star's vertex, counted per pair."""
+    counts = {}
+    for (a, b, copy), value in tau.x.items():
+        if value >= Fraction(1, 2) and copy >= table.base_caps.get((a, b), 0):
+            counts[(a, b)] = counts.get((a, b), 0) + 1
+    return counts
+
+
+def test_rounded_vertex_costs_at_most_twice_tau_star(monkeypatch):
+    # The audit_witness sweep plus the uniform boxes of 8-10 terminals.  The
+    # purchase handed to greedy_patch is the rounded vertex; it costs at
+    # most 2 * tau*, and so does pd's answer when nothing was patched.
+    handed = []
+
+    def recording_patch(instance, table, counts):
+        handed.append(dict(counts))
+        return greedy_patch(instance, table, counts)
+
+    monkeypatch.setattr(connectivity, "greedy_patch", recording_patch)
+    rng = random.Random(3)
+    pool = [random_survivable_instance(rng) for _ in range(100)]
+    pool += [
+        uniform_box_instance(n, box, seed, "random")
+        for n in (8, 9, 10)
+        for box in (3.0, 4.0, 6.0)
+        for seed in range(4)
+    ]
+    unpatched = 0
+    for inst in pool:
+        table = copy_table(inst)
+        tau = tau_star(inst)
+        handed.clear()
+        res = sn_backend_primal_dual(inst)
+        assert res.lower_bound == tau.value
+        assert handed == [_rounded_vertex(table, tau)]
+        assert table.cost(handed[0]) <= 2 * tau.value
+        if first_deficiency(inst, table.caps(handed[0])) is None:
+            unpatched += 1
+            assert res.cost <= 2 * tau.value
+    # Measured, not a theorem: every vertex of this pool rounds to a
+    # purchase that meets every demand, so the factor is checked on all.
+    assert unpatched == len(pool)
+
+
+def _is_minimal_cover(inst, table, counts):
+    graph = CopyGraph(inst, table, counts)
+    if graph.first_deficiency() is not None:
+        return False
+    for pair in list(counts):
+        graph.sell(pair)
+        if graph.first_deficiency() is None:
+            return False
+        graph.buy(pair)
+    return True
+
+
+def test_round_tau_star_completes_a_vertex_below_one_half():
+    # No pool leaves a demand unmet after rounding, so hand-built vertices
+    # with every coordinate below 1/2 drive the greedy_patch completion.
+    two = make_instance([Point.at(0, 0), Point.at(3, 0)], {(0, 1): 2}, E2)
+    box = uniform_box_instance(8, 4.0, 0, "random")
+    for inst, expected in ((two, {(0, 1): 2}), (box, None)):
+        table = copy_table(inst)
+        below = {key: Fraction(1, 3) for key in tau_star(inst).x}
+        vertex = TauStarResult(Fraction(0), below, 0, 0, 0)
+        assert _rounded_vertex(table, vertex) == {}
+        counts = round_tau_star(inst, table, vertex)
+        assert counts
+        assert _is_minimal_cover(inst, table, counts)
+        if expected is not None:
+            assert counts == expected
 
 
 def test_pipeline_reports_and_verifies():
