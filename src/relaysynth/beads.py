@@ -170,13 +170,6 @@ def tau_integral(instance: Instance) -> BeadSolveResult:
             "terminal count %d exceeds cap %d" % (instance.n, _MAX_TERMINALS)
         )
     table = copy_table(instance)
-
-    if not instance.demands:
-        return BeadSolveResult(0, selection_of(table, {}), True, Fraction(0), 0, "bound")
-
-    if CopyGraph(instance, table, table.max_extra).first_deficiency() is not None:
-        raise BeadError("even the full bead graph misses a demand")
-
     tau = tau_star(instance)
     lower = tau.value
     lb_int = math.ceil(lower)

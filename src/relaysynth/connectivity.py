@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .errors import RelaysynthError
-from .instances import Instance, SolutionGraph, bead_count
+from .instances import Instance, SolutionGraph
 from .simplex import CoverLP, CoverRow
 
 _HALF = Fraction(1, 2)
@@ -448,8 +448,6 @@ def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
     graph = solution
     order = sorted(graph.edges, key=lambda e: (-float(graph.edges[e]), e))
     for edge in order:
-        if edge not in graph.edges:
-            continue
         candidate = graph.without_edge(edge)
         if is_feasible(instance, candidate):
             graph = candidate
@@ -463,16 +461,6 @@ def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
 
 # ---------------------------------------------------------------------------
 # Bead copies and the integral cut engine
-
-
-def bead_costs(instance: Instance) -> Dict[Tuple[int, int], int]:
-    """Bead count of every terminal pair i < j, in lexicographic pair order."""
-    n = instance.n
-    return {
-        (i, j): bead_count(instance.terminal_distance(i, j))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
 
 
 @dataclass(frozen=True)
@@ -516,7 +504,7 @@ def copy_table(instance: Instance) -> CopyTable:
     pair_cost: Dict[Tuple[int, int], int] = {}
     max_extra: Dict[Tuple[int, int], int] = {}
     base_caps: Dict[Tuple[int, int], int] = {}
-    for p, dhat in bead_costs(instance).items():
+    for p, dhat in instance.bead_costs.items():
         if dhat > 0:
             pair_cost[p] = dhat
             max_extra[p] = k
@@ -882,7 +870,7 @@ def tau_star(instance: Instance) -> TauStarResult:
     if instance.max_demand == 0:
         return TauStarResult(Fraction(0), {}, 0, 0, 0)
 
-    pairs = [(i, j) for i in range(instance.n) for j in range(i + 1, instance.n)]
+    pairs = list(instance.bead_costs)
     table = copy_table(instance)
     var_of = {p: idx for idx, p in enumerate(table.pair_cost)}
     lp = CoverLP(

@@ -97,14 +97,29 @@ class CostedRootedTree:
                 raise DecompositionError("node %r has two zero-cost child edges" % (v,))
 
 
+def _peel(adj, keep) -> Set[int]:
+    """Nodes left once every leaf outside ``keep`` is removed, repeatedly."""
+    degree = {v: len(nb) for v, nb in adj.items()}
+    stack = [v for v, d in degree.items() if d <= 1 and v not in keep]
+    gone = set(stack)
+    while stack:
+        for w in adj[stack.pop()]:
+            degree[w] -= 1
+            if degree[w] == 1 and w not in keep:
+                gone.add(w)
+                stack.append(w)
+    return set(adj) - gone
+
+
 def normalize_binary(
     edges: Sequence[Tuple[int, int, object]], terminals: Iterable[int]
 ) -> CostedRootedTree:
     """Standard reductions to a full binary tree with terminal leaves.
 
     Input edge costs must already be 0 or >= 1 with at most one zero-cost edge
-    per node; total cost is preserved except for path contractions and the
-    removal of terminal-free branches.
+    per node.  Companion leaves and fan-out splits add only zero-cost edges,
+    and contracting a relay path keeps its cost on the merged edge; pruning
+    terminal-free branches and handing the root down a relay path drop cost.
     """
     terminals = set(terminals)
     if not terminals:
@@ -122,52 +137,29 @@ def normalize_binary(
         raise DecompositionError("single-node tree cannot be normalized")
     if len(edges) != len(nodes) - 1:
         raise DecompositionError("input is not a tree")
-    if not terminals <= nodes:
-        raise DecompositionError("terminals must be tree nodes")
 
-    internal = [v for v in sorted(nodes) if len(adj.get(v, {})) >= 2]
-    root = internal[0] if internal else min(nodes)
-
+    root = min((v for v in adj if len(adj[v]) >= 2), default=min(nodes))
     parent: Dict[int, Optional[int]] = {root: None}
-    up_cost: Dict[int, object] = {}
     stack = [root]
-    seen = {root}
     while stack:
         v = stack.pop()
-        for w, c in sorted(adj.get(v, {}).items()):
-            if w in seen:
-                continue
-            seen.add(w)
-            parent[w] = v
-            up_cost[w] = c
-            stack.append(w)
-    if seen != nodes:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
+    if len(parent) != len(nodes):
         raise DecompositionError("input is not connected")
 
-    children: Dict[int, Set[int]] = {v: set() for v in nodes}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].add(v)
+    # Remove terminal-free leaf branches.
+    kept = _peel(adj, terminals | {root})
+    parent = {v: parent[v] for v in kept}
+    up_cost = {v: adj[v][parent[v]] for v in kept - {root}}
+    children: Dict[int, Set[int]] = {v: set() for v in kept}
+    for v in up_cost:
+        children[parent[v]].add(v)
     term = set(terminals)
     prov = {v: v for v in nodes}
     next_id = max(nodes) + 1
-
-    def drop(v):
-        p = parent.pop(v)
-        up_cost.pop(v, None)
-        children[p].discard(v)
-        del children[v]
-
-    # Remove terminal-free leaf branches.
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(parent):
-            if v != root and not children[v] and v not in term:
-                drop(v)
-                changed = True
-    if root not in term and not children[root]:
-        raise DecompositionError("no terminal is reachable in the tree")
 
     # Give every internal terminal a zero-cost companion leaf.
     for v in sorted(parent):
@@ -182,35 +174,22 @@ def normalize_binary(
             term.discard(v)
             term.add(comp)
 
-    # Contract single-child chains (a childless root handled by re-rooting).
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(parent):
-            if v in term or v not in parent:
-                continue
-            if len(children.get(v, ())) != 1:
-                continue
-            child = next(iter(children[v]))
-            if parent[v] is None:
-                # Root with one child: promote the child.
-                parent[child] = None
-                up_cost.pop(child, None)
-                del parent[v]
-                del children[v]
-                changed = True
-                break
-            p = parent[v]
-            cost = up_cost[v] + up_cost[child]
+    # Contract single-child relays; splicing one out leaves every other
+    # node's child count unchanged, so one pass reaches them all.
+    for v in sorted(parent):
+        if v != root and v not in term and len(children[v]) == 1:
+            (child,) = children.pop(v)
+            p = parent.pop(v)
             parent[child] = p
-            up_cost[child] = cost
+            up_cost[child] += up_cost.pop(v)
             children[p].discard(v)
             children[p].add(child)
-            del parent[v]
-            del children[v]
-            up_cost.pop(v, None)
-            changed = True
-    root = next(v for v, p in parent.items() if p is None)
+    while root not in term and len(children[root]) == 1:
+        (child,) = children.pop(root)
+        del parent[root]
+        parent[child] = None
+        del up_cost[child]
+        root = child
 
     # Split fan-outs so every internal node keeps exactly two children.
     queue = [v for v in sorted(parent) if len(children.get(v, ())) > 2]
@@ -427,23 +406,6 @@ class DecompositionCertificate:
     p: int
 
 
-def _span_support(adj, targets: FrozenSet[int], steiner: Set[int]) -> FrozenSet[int]:
-    """Steiner nodes on the minimal subtree spanning the target terminals."""
-    alive = {v: set(nb) for v, nb in adj.items()}
-    pruned = True
-    while pruned:
-        pruned = False
-        for v in sorted(alive):
-            if v not in alive or v in targets:
-                continue
-            if len(alive[v]) <= 1:
-                for w in alive[v]:
-                    alive[w].discard(v)
-                del alive[v]
-                pruned = True
-    return frozenset(v for v in alive if v in steiner)
-
-
 def rank_certificate(
     edges: Sequence[Tuple[int, int]],
     terminals: Iterable[int],
@@ -514,7 +476,7 @@ def rank_certificate(
     total = 0
     rank = 0
     for he in sorted(hyperedges, key=lambda s: (len(s), sorted(s))):
-        support = _span_support(adj, he, steiner)
+        support = frozenset(_peel(adj, he) & steiner)
         entries.append(CertificateEdge(he, support))
         total += len(support)
         rank = max(rank, len(he))

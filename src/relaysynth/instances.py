@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import RelaysynthError
 
@@ -184,6 +184,8 @@ class Instance:
     demands: Mapping[Tuple[int, int], int]
     metric: MetricSpace
     distance_cap: Optional[float] = None
+    # Bead count of every terminal pair i < j, in lexicographic pair order.
+    bead_costs: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.terminals)
@@ -214,11 +216,13 @@ class Instance:
         object.__setattr__(self, "demands", canon)
         cap = self.distance_cap if self.distance_cap is not None else 10.0 * n
         object.__setattr__(self, "distance_cap", float(cap))
-        worst = self.max_pairwise_distance()
+        dist = {
+            (i, j): self.terminal_distance(i, j) for i in range(n) for j in range(i + 1, n)
+        }
+        worst = max(map(float, dist.values()))
         if worst > cap:
-            raise InstanceError(
-                "max terminal distance %.4f exceeds cap %.1f" % (float(worst), cap)
-            )
+            raise InstanceError("max terminal distance %.4f exceeds cap %.1f" % (worst, cap))
+        object.__setattr__(self, "bead_costs", {p: bead_count(d) for p, d in dist.items()})
 
     @property
     def n(self) -> int:
@@ -233,13 +237,6 @@ class Instance:
 
     def terminal_distance(self, i: int, j: int) -> Number:
         return pairwise_distance(self.terminals[i], self.terminals[j], self.metric)
-
-    def max_pairwise_distance(self) -> float:
-        worst = 0.0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                worst = max(worst, float(self.terminal_distance(i, j)))
-        return worst
 
 
 def make_instance(

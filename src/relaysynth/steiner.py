@@ -24,8 +24,8 @@ import numpy as np
 
 from .beads import BeadEdge, realize
 from .connectivity import (
+    ConnectivityError,
     UnionFind,
-    bead_costs,
     hyperedge_classes,
     is_feasible,
     verify_feasible,
@@ -42,6 +42,7 @@ from .instances import (
 )
 
 _MAX_STEINER = 12  # relay-count bound of the component oracle's deepening
+_HYPERGRAPH_BUDGET = 2000  # subset count bound of build_component_hypergraph
 
 
 class OracleBudgetError(RelaysynthError, RuntimeError):
@@ -57,7 +58,6 @@ class SchemeConfig:
     grid_resolution: Optional[float] = None
     max_candidates: int = 1500
     state_cap: int = 400_000
-    hypergraph_budget: int = 2000
 
     def __post_init__(self):
         if self.k < 2:
@@ -84,7 +84,7 @@ def mst_pairs(
     keep = set(range(instance.n) if terminals is None else terminals)
     edges = sorted(
         (cost, i, j)
-        for (i, j), cost in bead_costs(instance).items()
+        for (i, j), cost in instance.bead_costs.items()
         if i in keep and j in keep
     )
     joined = UnionFind(keep)
@@ -98,7 +98,7 @@ def mst_baseline(instance: Instance) -> SolutionGraph:
     placement = realize(instance, selected)
     bad = verify_feasible(instance, placement.solution)
     if bad:
-        raise InstanceError("bead MST unexpectedly infeasible: %r" % (bad[0],))
+        raise ConnectivityError("bead MST unexpectedly infeasible: %r" % (bad[0],))
     return placement.solution
 
 
@@ -440,18 +440,17 @@ def build_component_hypergraph(
     n = instance.n
     top = min(config.k, n)
     total = sum(math.comb(n, j) for j in range(2, top + 1))
-    if total > config.hypergraph_budget:
+    if total > _HYPERGRAPH_BUDGET:
         raise InstanceError(
             "hypergraph of %d edges exceeds budget; lower k" % total
         )
     universe = build_candidate_universe(instance, config)
-    pair_costs = bead_costs(instance)
     table: Dict[FrozenSet[int], Hyperedge] = {}
     for j in range(2, top + 1):
         for combo in itertools.combinations(range(n), j):
             key = frozenset(combo)
             if j == 2:
-                cost = pair_costs[combo]
+                cost = instance.bead_costs[combo]
                 witness = realize(instance, [BeadEdge(*combo, 0, cost)]).points
                 table[key] = Hyperedge(key, cost, witness, True)
             else:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import relaysynth.cli
+import relaysynth.steiner
 from relaysynth.beads import BeadError, SizeCapError
 from relaysynth.cli import main
 from relaysynth.connectivity import ConnectivityError, NonTreeComponentError
@@ -243,6 +244,18 @@ def test_broken_guarantee_exits_two(monkeypatch, capsys, error):
     assert run_cli("solve", "--family", "square", "--algo", "sn012") == 2
     err = capsys.readouterr().err
     assert err == "error: guarantee broken\n"
+    assert "Traceback" not in err
+
+
+def test_infeasible_mst_exits_two(monkeypatch, tmp_path, capsys):
+    def violated(instance, solution):
+        return [(0, 1, 1)]
+
+    monkeypatch.setattr(relaysynth.steiner, "verify_feasible", violated)
+    assert run_cli("solve", "--family", "pentagon", "--algo", "mst",
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

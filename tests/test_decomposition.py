@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -288,3 +289,76 @@ def test_certificate_random_sweep():
         assert cert.rank <= k
         assert cert.steiner_total <= cert.steiner_budget
     assert count >= 100
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+
+
+def _digest(records):
+    text = "\n".join(repr(r) for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _costed_tree(rng):
+    # Zero-cost edges and degree caps 3, 5 or none reach every rule of the
+    # normalization, including its rejections; ids and edge order are shuffled.
+    n = rng.randint(2, 26)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [
+        (ids[u], ids[v], 0 if rng.random() < 0.1 else rng.randint(1, 3))
+        for u, v in random_tree(rng, n, max_degree=rng.choice((3, 5, 0)))
+    ]
+    rng.shuffle(edges)
+    share = rng.uniform(0.1, 1.0)
+    terminals = {ids[v] for v in range(n) if rng.random() < share}
+    return edges, terminals
+
+
+def test_normalize_binary_outputs_are_pinned():
+    rng = random.Random(1301)
+    records = []
+    for _ in range(2000):
+        edges, terminals = _costed_tree(rng)
+        try:
+            tree = normalize_binary(edges, terminals)
+        except DecompositionError as exc:
+            records.append(str(exc))
+            continue
+        records.append((
+            tree.root,
+            sorted(tree.parent.items()),
+            sorted((v, tree.up_cost[v]) for v in tree.parent if v != tree.root),
+            sorted(tree.terminals),
+            sorted(tree.provenance.items()),
+        ))
+    assert _digest(records) == "fb315156688a700b"
+
+
+def test_rank_certificate_outputs_are_pinned():
+    rng = random.Random(1302)
+    records = []
+    for _ in range(500):
+        n = rng.randint(4, 24)
+        edges = random_tree(rng, n, max_degree=5)
+        adj = {}
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        terminals = {v for v in range(n) if len(adj[v]) == 1}
+        terminals |= {v for v in range(n) if rng.random() < 0.35}
+        k = rng.choice((8, 16, 32))
+        try:
+            cert = rank_certificate(edges, terminals, 5, k)
+        except DecompositionError as exc:
+            records.append(str(exc))
+            continue
+        records.append((
+            [(sorted(e.terminals), sorted(e.steiner_support)) for e in cert.hyperedges],
+            cert.rank,
+            cert.steiner_total,
+            cert.steiner_budget,
+            cert.p,
+        ))
+    assert _digest(records) == "acc9311b64cdf633"

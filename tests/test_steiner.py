@@ -145,11 +145,12 @@ def test_hypergraph_counts_and_pair_costs():
     assert triple.edge_for([0, 1, 2]).cost == 1
 
 
-def test_hypergraph_budget_guard():
+def test_hypergraph_budget_guard(monkeypatch):
     pts = [Point.at(i * 0.5, 0) for i in range(8)]
     inst = make_instance(pts, all_pairs_demands(8, 1), E2)
+    monkeypatch.setattr(steiner, "_HYPERGRAPH_BUDGET", 10)
     with pytest.raises(InstanceError, match="budget"):
-        build_component_hypergraph(inst, SchemeConfig(k=8, hypergraph_budget=10))
+        build_component_hypergraph(inst, SchemeConfig(k=8))
 
 
 def test_brute_force_pentagon_center():
