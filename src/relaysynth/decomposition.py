@@ -117,8 +117,12 @@ def normalize_binary(
     """Standard reductions to a full binary tree with terminal leaves.
 
     Input edge costs must already be 0 or >= 1 with at most one zero-cost edge
-    per node.  Companion leaves and fan-out splits add only zero-cost edges,
-    and contracting a relay path keeps its cost on the merged edge; pruning
+    per node, and an internal terminal must not already have a zero-cost child
+    edge: its zero-cost companion leaf would add a second, and since every
+    fresh edge costs zero, some node of its binary split then has two
+    zero-cost children (three leaves, two internal nodes at the least).
+    Companion leaves and fan-out splits add only zero-cost edges, and
+    contracting a relay path keeps its cost on the merged edge; pruning
     terminal-free branches and handing the root down a relay path drop cost.
     """
     terminals = set(terminals)

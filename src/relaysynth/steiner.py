@@ -6,11 +6,10 @@ on the number of relay points.  It is exact over that universe; the universe
 itself is heuristically complete, so callers either use analytically known
 cases or cross-validate at two grid resolutions.
 
-The universe stores its unit-disk relation twice: as a boolean matrix, and as
-one Python-int bitmask row per point, derived from the matrix when the
-universe is built.  The search grows its set of touched points by OR-ing
-rows, and the oracle checks the connectivity of each candidate set by a bit
-BFS on them.
+The universe stores its unit-disk relation once, as one Python-int bitmask
+row per point, built from the distances of one block of points at a time.
+The search grows its set of touched points by OR-ing rows, and the oracle
+checks the connectivity of each candidate set by a bit BFS on them.
 """
 
 from __future__ import annotations
@@ -106,26 +105,21 @@ def mst_baseline(instance: Instance) -> SolutionGraph:
 # Candidate universe
 
 
-_DEDUP_CHUNK = 1024  # candidate rows converted to Python floats at a time
+_CHUNK = 256  # rows per block: dedup's float conversion and the relation's distances
 
 
 @dataclass(frozen=True)
 class CandidateUniverse:
     """Shared relay-position candidates; the first n entries are the terminals.
 
-    ``rows[i]`` is row i of ``adjacency`` as a bitmask: bit j is set when
-    points i and j are within unit distance.
+    The unit-disk relation is stored once, as bitmask rows built one block
+    at a time: bit j of ``rows[i]`` is set when points i and j are within
+    unit distance.
     """
 
     points: Tuple[Point, ...]
-    adjacency: np.ndarray  # bool matrix, unit-disk relation over points
+    rows: Tuple[int, ...] = field(repr=False)
     truncated: bool
-    rows: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        packed = np.packbits(self.adjacency, axis=1, bitorder="little")
-        rows = tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
-        object.__setattr__(self, "rows", rows)
 
 
 def coord_keys(coords) -> List[Tuple[float, ...]]:
@@ -138,30 +132,11 @@ def coord_keys(coords) -> List[Tuple[float, ...]]:
     return [tuple(r) for r in np.round(np.asarray(coords, dtype=float), 9).tolist()]
 
 
-def build_candidate_universe(
+def _candidate_coords(
     instance: Instance, config: SchemeConfig
-) -> CandidateUniverse:
-    metric = instance.metric
-    if metric.kind == "finite":
-        points = [Point.node(i) for i in range(metric.size)]
-        size = len(points)
-        adj = np.zeros((size, size), dtype=bool)
-        for i in range(size):
-            for j in range(size):
-                if i != j and within_unit(metric.matrix[i][j]):
-                    adj[i][j] = True
-        term_ids = [p.index for p in instance.terminals]
-        order = term_ids + [i for i in range(size) if i not in set(term_ids)]
-        reindex = np.array(order)
-        return CandidateUniverse(
-            tuple(points[i] for i in order),
-            adj[np.ix_(reindex, reindex)],
-            False,
-        )
-
-    if metric.dim != 2:
-        raise InstanceError("the geometric oracle only supports the plane")
-
+) -> Tuple[List[Tuple[float, float]], bool]:
+    """Deduplicated planar candidates, terminals first, and whether the
+    ``max_candidates`` cap cut them short."""
     cap = config.max_candidates
     truncated = False
     coords: List[Tuple[float, float]] = []
@@ -169,8 +144,8 @@ def build_candidate_universe(
 
     def push_block(block: np.ndarray) -> None:
         nonlocal truncated
-        for start in range(0, len(block), _DEDUP_CHUNK):
-            chunk = block[start:start + _DEDUP_CHUNK]
+        for start in range(0, len(block), _CHUNK):
+            chunk = block[start:start + _CHUNK]
             for key, xy in zip(coord_keys(chunk), chunk.tolist()):
                 if key in seen:
                     continue
@@ -229,19 +204,36 @@ def build_candidate_universe(
         gy = np.arange(min(ys) - 1.0, max(ys) + 1.0 + 1e-12, delta)
         mesh = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
         push_block(mesh)
+    return coords, truncated
 
+
+def build_candidate_universe(
+    instance: Instance, config: SchemeConfig
+) -> CandidateUniverse:
+    metric = instance.metric
+    if metric.kind == "finite":
+        term_ids = [p.index for p in instance.terminals]
+        order = term_ids + sorted(set(range(metric.size)) - set(term_ids))
+        near = [[i != j and within_unit(metric.matrix[i][j]) for j in order] for i in order]
+        rows = tuple(sum(1 << b for b, hit in enumerate(row) if hit) for row in near)
+        return CandidateUniverse(tuple(Point.node(i) for i in order), rows, False)
+
+    if metric.dim != 2:
+        raise InstanceError("the geometric oracle only supports the plane")
+
+    coords, truncated = _candidate_coords(instance, config)
     arr = np.array(coords)
-    dist = np.subtract.outer(arr[:, 0], arr[:, 0])
-    dist *= dist
-    dy = np.subtract.outer(arr[:, 1], arr[:, 1])
-    dy *= dy
-    dist += dy
-    del dy
-    np.sqrt(dist, out=dist)
-    adj = dist <= 1.0 + EPS_GEO
-    np.fill_diagonal(adj, False)
+    rows: List[int] = []
+    for start in range(0, len(arr), _CHUNK):
+        block = arr[start:start + _CHUNK]
+        dist = np.subtract.outer(block[:, 0], arr[:, 0]) ** 2
+        dist += np.subtract.outer(block[:, 1], arr[:, 1]) ** 2
+        near = np.sqrt(dist, out=dist) <= 1.0 + EPS_GEO
+        np.fill_diagonal(near[:, start:], False)  # bit start + i of row i
+        packed = np.packbits(near, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
     points = tuple(Point.at(*c) for c in coords)
-    return CandidateUniverse(points, adj, truncated)
+    return CandidateUniverse(points, tuple(rows), truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_normalize_rejects_fractional_cost_below_one():
         normalize_binary([(0, 1, 0.5)], [0, 1])
 
 
+def test_normalize_rejects_internal_terminal_with_zero_cost_child():
+    # Terminal 1's zero-cost companion leaf would sit beside its zero-cost
+    # child edge to 0, and no full binary shape then keeps one per node.
+    with pytest.raises(DecompositionError):
+        normalize_binary([(0, 1, 0), (1, 2, 1)], [0, 1, 2])
+
+
 def test_normalize_random_trees_satisfy_shape():
     rng = random.Random(15)
     for _ in range(40):

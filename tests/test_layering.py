@@ -1,11 +1,12 @@
 """Module boundaries inside the relaysynth package."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import relaysynth
-from relaysynth import beads, connectivity
+from relaysynth import beads, connectivity, steiner
 
 PACKAGE = Path(relaysynth.__file__).resolve().parent
 
@@ -98,3 +99,9 @@ def test_no_module_defines_a_twin_result_type():
         if isinstance(node, ast.ClassDef) and node.name in {"OracleResult", "SnBackendResult"}
     ]
     assert found == []
+
+
+def test_the_candidate_universe_stores_its_relation_once():
+    # The unit-disk relation lives in the bitmask rows alone.
+    names = [f.name for f in dataclasses.fields(steiner.CandidateUniverse)]
+    assert names == ["points", "rows", "truncated"]

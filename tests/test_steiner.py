@@ -203,6 +203,17 @@ def test_finite_metric_universe_uses_matrix_nodes():
     assert res.witness[0].index == 3
 
 
+def _relation(universe):
+    """The universe's bitmask rows expanded into a boolean matrix."""
+    size = len(universe.points)
+    assert len(universe.rows) == size
+    assert all(row >> size == 0 for row in universe.rows)
+    width = (size + 7) // 8
+    packed = b"".join(row.to_bytes(width, "little") for row in universe.rows)
+    packed = np.frombuffer(packed, dtype=np.uint8).reshape(size, width)
+    return np.unpackbits(packed, axis=1, count=size, bitorder="little").astype(bool)
+
+
 def _unit_disk_relation(universe, metric):
     size = len(universe.points)
     rel = np.zeros((size, size), dtype=bool)
@@ -226,8 +237,15 @@ def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(seed):
     universe = build_candidate_universe(
         inst, SchemeConfig(k=3, candidate_depth=1, max_candidates=200)
     )
-    assert bool(universe.adjacency[0, 1]) == (offset < EPS_GEO)
-    assert np.array_equal(universe.adjacency, _unit_disk_relation(universe, E2))
+    assert bool(universe.rows[0] >> 1 & 1) == (offset < EPS_GEO)
+    assert np.array_equal(_relation(universe), _unit_disk_relation(universe, E2))
+
+    # A pair at exactly 1 + EPS_GEO is within unit distance.
+    pts = [Point.at(0.0, 0.0), Point.at(1.0 + EPS_GEO, 0.0)]
+    inst = make_instance(pts, all_pairs_demands(2, 1), E2)
+    universe = build_candidate_universe(inst, SchemeConfig(k=2))
+    assert universe.rows[0] >> 1 & 1 and universe.rows[1] & 1
+    assert np.array_equal(_relation(universe), _unit_disk_relation(universe, E2))
 
     # A finite metric with off-diagonal entries in [1, 2] is always a metric.
     near = 1 + 1e-12
@@ -243,9 +261,10 @@ def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(seed):
     rng.shuffle(term_ids)
     inst = make_instance([Point.node(i) for i in term_ids], all_pairs_demands(3, 1), fin)
     universe = build_candidate_universe(inst, SchemeConfig(k=3))
-    assert np.array_equal(universe.adjacency, _unit_disk_relation(universe, fin))
+    relation = _relation(universe)
+    assert np.array_equal(relation, _unit_disk_relation(universe, fin))
     ids = [p.index for p in universe.points]
-    assert universe.adjacency[ids.index(0), ids.index(1)]
+    assert relation[ids.index(0), ids.index(1)]
 
 
 def test_hypergraph_budget_counts_only_sizes_up_to_n(monkeypatch):
@@ -265,14 +284,14 @@ def test_hypergraph_budget_counts_only_sizes_up_to_n(monkeypatch):
     assert huge.edges == build_component_hypergraph(inst, SchemeConfig(k=5)).edges
 
 
-def _random_node_set(rng, universe, size):
+def _random_node_set(rng, relation, size):
     # Half the sets grow along the relation from one point, so that both
     # outcomes of the connectivity check occur often.
-    order = len(universe.points)
+    order = len(relation)
     nodes = [rng.randrange(order)]
     while len(nodes) < size:
         if rng.random() < 0.5:
-            near = np.flatnonzero(universe.adjacency[rng.choice(nodes)]).tolist()
+            near = np.flatnonzero(relation[rng.choice(nodes)]).tolist()
             if near:
                 nodes.append(rng.choice(near))
                 continue
@@ -289,11 +308,12 @@ def test_bitmask_connects_matches_union_find_reference():
         universe = build_candidate_universe(
             inst, SchemeConfig(max_candidates=rng.choice((20, 40, 80)))
         )
+        relation = _relation(universe)
         for _ in range(150):
-            nodes = _random_node_set(rng, universe, rng.randint(2, 14))
+            nodes = _random_node_set(rng, relation, rng.randint(2, 14))
             distinct = sorted(set(nodes))
             targets = rng.sample(distinct, min(len(distinct), rng.randint(1, 5)))
-            expected = connects_by_union_find(universe.adjacency, nodes, targets)
+            expected = connects_by_union_find(relation, nodes, targets)
             got = _connects(universe.rows, nodes, targets)
             assert got == expected, (seed, nodes, targets)
             outcomes[expected] += 1
@@ -301,7 +321,7 @@ def test_bitmask_connects_matches_union_find_reference():
 
 
 def _reference_case(kind):
-    """(instance, config) for one kind of cut, at the current dedup chunk."""
+    """(instance, config) for one kind of cut, at the current block size."""
     if kind == "none":
         inst = uniform_box_instance(3, 1.5, 0, "all-1")
         return inst, SchemeConfig(max_candidates=3000)
@@ -313,7 +333,7 @@ def _reference_case(kind):
     inst = uniform_box_instance(5, 3.0, 0, "all-1")
     terminals = [p.coords for p in inst.terminals]
     origin = reference_universe(terminals, 2, 1500, EPS_GEO)[3]
-    chunk = steiner._DEDUP_CHUNK
+    chunk = steiner._CHUNK
     # The first point that a block's second or later chunk contributes.
     first = next(i for i, (_, row) in enumerate(origin) if row >= chunk)
     if kind == "boundary":
@@ -326,10 +346,12 @@ def _reference_case(kind):
     return inst, SchemeConfig(max_candidates=cap)
 
 
-@pytest.mark.parametrize("chunk", [steiner._DEDUP_CHUNK, 16])
+# No output may depend on the block size: the shipped one, a small one that
+# puts many block edges inside the relation, and a large one.
+@pytest.mark.parametrize("chunk", [steiner._CHUNK, 16, 1024])
 @pytest.mark.parametrize("kind", ["inside", "boundary", "none", "grid"])
 def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
-    monkeypatch.setattr(steiner, "_DEDUP_CHUNK", chunk)
+    monkeypatch.setattr(steiner, "_CHUNK", chunk)
     inst, config = _reference_case(kind)
     coords, adj, truncated, _ = reference_universe(
         [p.coords for p in inst.terminals],
@@ -341,7 +363,8 @@ def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
     assert truncated == (kind in ("inside", "boundary"))
     universe = build_candidate_universe(inst, config)
     assert universe.points == tuple(Point.at(*xy) for xy in coords)
-    assert np.array_equal(universe.adjacency, adj)
+    assert len(universe.rows) == len(coords)
+    assert np.array_equal(_relation(universe), adj)
     assert universe.truncated == truncated
     for i, row in enumerate(universe.rows):
         bits = [j for j in range(len(coords)) if row >> j & 1]
