@@ -7,17 +7,21 @@ itself is heuristically complete, so callers either use analytically known
 cases or cross-validate at two grid resolutions.
 
 The universe stores its unit-disk relation once, as one Python-int bitmask
-row per point, built from the distances of one block of points at a time.
-The search grows its set of touched points by OR-ing rows, and the oracle
-checks the connectivity of each candidate set by a bit BFS on them.
+row per point; a planar universe computes each row on its first read, so a
+solve computes only the rows its search reads.  The search grows its set of
+touched points by OR-ing rows.  The oracle tests its leaves against a
+per-frame component mask: a frame whose children are leaves finds the
+components of its set once, and each leaf is then one bit test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,6 +65,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.k < 2:
             raise InstanceError("component size cap k must be >= 2")
+        if self.grid_resolution is not None and not 0 < self.grid_resolution < math.inf:
+            raise InstanceError("grid resolution must be a finite number > 0")
 
 
 def require_all_pairs_unit_demands(instance: Instance) -> None:
@@ -105,20 +111,53 @@ def mst_baseline(instance: Instance) -> SolutionGraph:
 # Candidate universe
 
 
-_CHUNK = 256  # rows per block: dedup's float conversion and the relation's distances
+_CHUNK = 256  # rows per block: dedup's float conversion, bead pairs, grid points
+_GRID_SCAN = 1024  # grid points scanned per candidate slot before the mesh gives up
+
+
+class _UnitDiskRows(Sequence):
+    """The bitmask rows of a planar universe's unit-disk relation, each
+    computed on its first read and kept for the universe's lifetime.
+
+    Row i is one vectorized pass of point i against every point:
+    (x_i - x_j)² + (y_i - y_j)², then ``sqrt``, then ``<= 1 + EPS_GEO``,
+    with bit i cleared.
+    """
+
+    def __init__(self, coords: np.ndarray):
+        self._x = np.ascontiguousarray(coords[:, 0])
+        self._y = np.ascontiguousarray(coords[:, 1])
+        self._rows: List[Optional[int]] = [None] * len(coords)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> int:
+        row = self._rows[i]
+        if row is None:
+            dist = (self._x[i] - self._x) ** 2
+            dist += (self._y[i] - self._y) ** 2
+            near = np.sqrt(dist, out=dist) <= 1.0 + EPS_GEO
+            near[i] = False
+            row = int.from_bytes(np.packbits(near, bitorder="little").tobytes(), "little")
+            self._rows[i] = row
+        return row
 
 
 @dataclass(frozen=True)
 class CandidateUniverse:
     """Shared relay-position candidates; the first n entries are the terminals.
 
-    The unit-disk relation is stored once, as bitmask rows built one block
-    at a time: bit j of ``rows[i]`` is set when points i and j are within
-    unit distance.
+    The unit-disk relation is stored once, as bitmask rows: bit j of
+    ``rows[i]`` is set when points i and j are within unit distance.  A
+    planar universe computes each row on its first read; a finite metric's
+    rows are a tuple.  The oracle reads the rows of the points its search
+    grows and of each leaf frame's set, and tests leaves against that
+    frame's component mask, not by a BFS.
     """
 
     points: Tuple[Point, ...]
-    rows: Tuple[int, ...] = field(repr=False)
+    rows: Sequence[int] = field(repr=False)
     truncated: bool
 
 
@@ -130,6 +169,29 @@ def coord_keys(coords) -> List[Tuple[float, ...]]:
     universe's dedup and the scheme's witness union.
     """
     return [tuple(r) for r in np.round(np.asarray(coords, dtype=float), 9).tolist()]
+
+
+def _pairs(arr: np.ndarray, start: int = 0, stop: Optional[int] = None):
+    """Endpoints of the point pairs i < j with start <= i < stop, in
+    ``np.triu_indices`` order."""
+    stop = len(arr) if stop is None else min(stop, len(arr))
+    ii, jj = np.triu_indices(stop - start, start + 1, len(arr))
+    return arr[ii + start], arr[jj]
+
+
+def _bead_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    d = np.sqrt(((b - a) ** 2).sum(axis=1))
+    return np.maximum(np.ceil(d - EPS_GEO).astype(int) - 1, 0)
+
+
+def _arange_blocks(start: float, stop: float, step: float):
+    """``np.arange(start, stop, step)`` in blocks of at most ``_CHUNK`` values,
+    by numpy's own rule (value i is start + i * ((start + step) - start)),
+    without allocating the whole range."""
+    length = math.ceil(min((stop - start) / step, sys.maxsize))
+    delta = (start + step) - start
+    for lo in range(0, length, _CHUNK):
+        yield start + np.arange(lo, min(lo + _CHUNK, length), dtype=float) * delta
 
 
 def _candidate_coords(
@@ -160,16 +222,11 @@ def _candidate_coords(
     seen.update(coord_keys(terminal_coords))
     coords.extend((float(x), float(y)) for x, y in terminal_coords)
 
-    def pair_arrays(points):
-        arr = np.asarray(points, dtype=float)
-        ii, jj = np.triu_indices(len(arr), k=1)
-        return arr[ii], arr[jj]
-
     # Unit-circle intersections, layered up to the configured depth.
     for _ in range(config.candidate_depth):
         if len(coords) < 2:
             break
-        a, b = pair_arrays(coords)
+        a, b = _pairs(np.asarray(coords, dtype=float))
         diff = b - a
         d2 = (diff * diff).sum(axis=1)
         mask = (d2 > 0.0) & (d2 <= 4.0)
@@ -183,27 +240,51 @@ def _candidate_coords(
         if truncated:
             break
 
-    # Interior bead points of candidate pair segments.
+    def push_beads(a, b, counts, c):
+        # Step s of every pair with c beads, for s = 1..c.
+        sel = counts == c
+        aa, bb = a[sel], b[sel]
+        for step in range(1, c + 1):
+            if truncated:
+                return
+            push_block(aa + (step / (c + 1)) * (bb - aa))
+
+    # Interior bead points of candidate pair segments, grouped by bead count.
+    # The count-1 layer comes from blocks of pairs and stops at the cap; all
+    # pairs are built only when that layer leaves room for longer segments.
     if not truncated and len(coords) >= 2:
-        a, b = pair_arrays(coords)
-        d = np.sqrt(((b - a) ** 2).sum(axis=1))
-        counts = np.maximum(np.ceil(d - EPS_GEO).astype(int) - 1, 0)
-        for c in sorted(set(counts.tolist()) - {0}):
-            sel = counts == c
-            aa, bb = a[sel], b[sel]
-            for step in range(1, c + 1):
-                push_block(aa + (step / (c + 1)) * (bb - aa))
+        arr = np.asarray(coords, dtype=float)
+        span = max(1, _CHUNK * 64 // len(arr))  # first points i per block: ~64 * _CHUNK pairs
+        for start in range(0, len(arr), span):
+            a, b = _pairs(arr, start, start + span)
+            push_beads(a, b, _bead_counts(a, b), 1)
             if truncated:
                 break
+        else:
+            a, b = _pairs(arr)
+            counts = _bead_counts(a, b)
+            for c in sorted(set(counts.tolist()) - {0, 1}):
+                push_beads(a, b, counts, c)
 
-    if config.grid_resolution:
+    # A grid, pushed _CHUNK points of one mesh row at a time; a mesh finer
+    # than the dedup keys repeats keys, so its scan is bounded too.
+    if config.grid_resolution is not None and not truncated:
         delta = config.grid_resolution
         xs = [p.coords[0] for p in instance.terminals]
         ys = [p.coords[1] for p in instance.terminals]
-        gx = np.arange(min(xs) - 1.0, max(xs) + 1.0 + 1e-12, delta)
-        gy = np.arange(min(ys) - 1.0, max(ys) + 1.0 + 1e-12, delta)
-        mesh = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
-        push_block(mesh)
+        mesh = (
+            np.column_stack([gx, np.full(len(gx), y)])
+            for gy in _arange_blocks(min(ys) - 1.0, max(ys) + 1.0 + 1e-12, delta)
+            for y in gy
+            for gx in _arange_blocks(min(xs) - 1.0, max(xs) + 1.0 + 1e-12, delta)
+        )
+        scanned = 0
+        for block in mesh:
+            if truncated or scanned >= _GRID_SCAN * cap:
+                truncated = True
+                break
+            push_block(block)
+            scanned += len(block)
     return coords, truncated
 
 
@@ -222,45 +303,52 @@ def build_candidate_universe(
         raise InstanceError("the geometric oracle only supports the plane")
 
     coords, truncated = _candidate_coords(instance, config)
-    arr = np.array(coords)
-    rows: List[int] = []
-    for start in range(0, len(arr), _CHUNK):
-        block = arr[start:start + _CHUNK]
-        dist = np.subtract.outer(block[:, 0], arr[:, 0]) ** 2
-        dist += np.subtract.outer(block[:, 1], arr[:, 1]) ** 2
-        near = np.sqrt(dist, out=dist) <= 1.0 + EPS_GEO
-        np.fill_diagonal(near[:, start:], False)  # bit start + i of row i
-        packed = np.packbits(near, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
-    points = tuple(Point.at(*c) for c in coords)
-    return CandidateUniverse(points, tuple(rows), truncated)
+    rows = _UnitDiskRows(np.array(coords, dtype=float).reshape(-1, 2))
+    return CandidateUniverse(tuple(Point.at(*c) for c in coords), rows, truncated)
 
 
 # ---------------------------------------------------------------------------
 # Exact small-set oracle
 
 
-def _connects(
-    rows: Sequence[int], nodes: Sequence[int], targets: Sequence[int]
-) -> bool:
-    """Whether the targets, which are among the nodes, lie in one component
-    of the unit-disk graph that ``rows`` induce on the nodes; a bit BFS from
-    the first target."""
+def _joining_children(rows: Sequence[int], nodes: List[int], targets: List[int]) -> int:
+    """Bitmask of the points c for which ``nodes + [c]`` connects the targets,
+    which are among the nodes, in the unit-disk graph that ``rows`` induce.
+
+    One bit BFS per component that holds a target.  When the targets share a
+    component, every point joins them (-1, all bits set); otherwise a point
+    joins them iff it touches each of those components, i.e. iff its bit is
+    in the AND, over them, of the OR of their members' rows.
+    """
     pending = 0
     for v in nodes:
         pending |= 1 << v
     goal = 0
     for t in targets:
         goal |= 1 << t
-    frontier = 1 << targets[0]
-    pending ^= frontier
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        reached = rows[low.bit_length() - 1] & pending
-        pending ^= reached
-        frontier |= reached
-    return not pending & goal
+    touches = []
+    while goal:
+        frontier = goal & -goal
+        pending ^= frontier
+        component = frontier
+        touch = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            row = rows[low.bit_length() - 1]
+            touch |= row
+            reached = row & pending
+            pending ^= reached
+            frontier |= reached
+            component |= reached
+        goal &= ~component
+        touches.append(touch)
+    if len(touches) == 1:
+        return -1
+    joins = touches[0]
+    for touch in touches[1:]:
+        joins &= touch
+    return joins
 
 
 def _deepening_search(
@@ -268,7 +356,7 @@ def _deepening_search(
     targets: List[int],
     size: int,
     state_cap: int,
-    accept,
+    accept: Optional[Callable[[Tuple[int, ...]], bool]],
     with_duplicates: bool,
 ):
     """DFS over candidate (multi)sets of the given size, connectivity-pruned.
@@ -276,10 +364,17 @@ def _deepening_search(
     Every chosen point must touch a target or an earlier choice, which is
     complete for inclusion-minimal relay sets.  Children are tried in
     ascending point order, and each state counts once against the cap.
+
+    A full-size set is accepted when ``accept`` holds on it or, when
+    ``accept`` is None, when it connects the targets: a frame whose children
+    are full-size computes which children join the targets once
+    (``_joining_children``), and each child is then one bit test.
     """
-    if size == 0:
-        return () if accept(()) else None
     rows = universe.rows
+    if size == 0:
+        if accept(()) if accept else _joining_children(rows, targets, targets) == -1:
+            return ()
+        return None
     reach = 0
     for t in targets:
         reach |= rows[t]
@@ -288,30 +383,34 @@ def _deepening_search(
         raise OracleBudgetError("state cap exceeded")
     seen: Set[Tuple[int, ...]] = set()
     # Each frame: a chosen tuple, the points it touches, and the untried ones.
+    # A frame runs until it descends into a child; one with full-size
+    # children never descends, so it runs once.
     stack = [((), reach, reach)]
     while stack:
-        chosen, reach, untried = stack[-1]
-        if not untried:
-            stack.pop()
-            continue
-        low = untried & -untried
-        stack[-1] = (chosen, reach, untried ^ low)
-        c = low.bit_length() - 1
-        if not with_duplicates and c in chosen:
-            continue
-        nxt = tuple(sorted(chosen + (c,)))
-        if nxt in seen:
-            continue
-        seen.add(nxt)
-        states += 1
-        if states > state_cap:
-            raise OracleBudgetError("state cap exceeded")
-        if len(nxt) == size:
-            if accept(nxt):
+        chosen, reach, untried = stack.pop()
+        leaves = len(chosen) == size - 1
+        if leaves and accept is None:
+            joins = _joining_children(rows, targets + list(chosen), targets)
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            c = low.bit_length() - 1
+            if not with_duplicates and c in chosen:
+                continue
+            nxt = tuple(sorted(chosen + (c,)))
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            states += 1
+            if states > state_cap:
+                raise OracleBudgetError("state cap exceeded")
+            if not leaves:
+                grown = reach | rows[c]
+                stack.append((chosen, reach, untried))
+                stack.append((nxt, grown, grown))
+                break
+            if accept(nxt) if accept else joins >> c & 1:
                 return nxt
-            continue
-        grown = reach | rows[c]
-        stack.append((nxt, grown, grown))
     return None
 
 
@@ -339,15 +438,10 @@ def exact_component_oracle(
     ).points
 
     exact = not universe.truncated
-    rows = universe.rows
-
-    def accept(chosen):
-        return _connects(rows, subset + list(chosen), subset)
-
     for size in range(0, min(ub, _MAX_STEINER)):
         try:
             hit = _deepening_search(
-                universe, list(subset), size, config.state_cap, accept, False
+                universe, subset, size, config.state_cap, None, False
             )
         except OracleBudgetError:
             exact = False

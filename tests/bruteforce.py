@@ -150,6 +150,27 @@ def connects_by_union_find(adj, nodes, targets) -> bool:
     return all(joined.find(t) == root for t in targets[1:])
 
 
+def connects_by_bit_bfs(rows, nodes, targets) -> bool:
+    """Whether the targets, which are among the nodes, lie in one component
+    of the unit-disk graph that the bitmask ``rows`` induce on the nodes; a
+    bit BFS from the first target."""
+    pending = 0
+    for v in nodes:
+        pending |= 1 << v
+    goal = 0
+    for t in targets:
+        goal |= 1 << t
+    frontier = 1 << targets[0]
+    pending ^= frontier
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        reached = rows[low.bit_length() - 1] & pending
+        pending ^= reached
+        frontier |= reached
+    return not pending & goal
+
+
 def reference_universe(terminals, depth: int, cap: int, eps: float, grid=None):
     """The planar candidate universe, deduplicated one row at a time.
 

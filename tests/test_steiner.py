@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bruteforce import connects_by_union_find, reference_universe
+from bruteforce import connects_by_bit_bfs, connects_by_union_find, reference_universe
 from relaysynth import steiner
 from relaysynth.connectivity import is_feasible
 from relaysynth.generators import uniform_box_instance
@@ -21,7 +22,6 @@ from relaysynth.instances import (
 from relaysynth.steiner import (
     OracleBudgetError,
     SchemeConfig,
-    _connects,
     brute_force_opt,
     build_candidate_universe,
     build_component_hypergraph,
@@ -314,7 +314,7 @@ def test_bitmask_connects_matches_union_find_reference():
             distinct = sorted(set(nodes))
             targets = rng.sample(distinct, min(len(distinct), rng.randint(1, 5)))
             expected = connects_by_union_find(relation, nodes, targets)
-            got = _connects(universe.rows, nodes, targets)
+            got = connects_by_bit_bfs(universe.rows, nodes, targets)
             assert got == expected, (seed, nodes, targets)
             outcomes[expected] += 1
     assert min(outcomes.values()) >= 100, outcomes
@@ -330,6 +330,23 @@ def _reference_case(kind):
         return inst, SchemeConfig(
             candidate_depth=1, grid_resolution=0.3, max_candidates=3000
         )
+    if kind == "count3":
+        # One pair needs three beads, and nothing is cut.
+        inst = uniform_box_instance(6, 3.0, 1, "all-1")
+        return inst, SchemeConfig(candidate_depth=1, max_candidates=3000)
+    if kind in ("count1", "count2"):
+        # 36 points start the bead step: origin block 1 is the count-1
+        # layer, blocks 2 and 3 the two steps of the count-2 layer.
+        inst = uniform_box_instance(6, 2.0, 0, "all-1")
+        terminals = [p.coords for p in inst.terminals]
+        blocks = [b for b, _ in reference_universe(terminals, 1, 3000, EPS_GEO)[3]]
+        if kind == "count1":
+            # Five points before the layer ends: at a block size of 16 that
+            # point comes from the second block of pairs.
+            cap = blocks.index(2) - 5
+        else:
+            cap = (blocks.index(3) + len(blocks)) // 2
+        return inst, SchemeConfig(candidate_depth=1, max_candidates=cap)
     inst = uniform_box_instance(5, 3.0, 0, "all-1")
     terminals = [p.coords for p in inst.terminals]
     origin = reference_universe(terminals, 2, 1500, EPS_GEO)[3]
@@ -349,7 +366,9 @@ def _reference_case(kind):
 # No output may depend on the block size: the shipped one, a small one that
 # puts many block edges inside the relation, and a large one.
 @pytest.mark.parametrize("chunk", [steiner._CHUNK, 16, 1024])
-@pytest.mark.parametrize("kind", ["inside", "boundary", "none", "grid"])
+@pytest.mark.parametrize(
+    "kind", ["inside", "boundary", "none", "grid", "count1", "count2", "count3"]
+)
 def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
     monkeypatch.setattr(steiner, "_CHUNK", chunk)
     inst, config = _reference_case(kind)
@@ -360,7 +379,19 @@ def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
         EPS_GEO,
         config.grid_resolution,
     )
-    assert truncated == (kind in ("inside", "boundary"))
+    assert truncated == (kind in ("inside", "boundary", "count1", "count2"))
+
+    # Rows are computed on first read, in any order, and only for points.
+    shuffled = build_candidate_universe(inst, config)
+    assert shuffled.rows._rows.count(None) == len(coords)
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    order = list(range(len(coords)))
+    random.Random(len(coords)).shuffle(order)
+    for i in order:
+        assert shuffled.rows[i] == int.from_bytes(packed[i].tobytes(), "little")
+    with pytest.raises(IndexError):
+        shuffled.rows[len(shuffled.rows)]
+
     universe = build_candidate_universe(inst, config)
     assert universe.points == tuple(Point.at(*xy) for xy in coords)
     assert len(universe.rows) == len(coords)
@@ -369,6 +400,108 @@ def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
     for i, row in enumerate(universe.rows):
         bits = [j for j in range(len(coords)) if row >> j & 1]
         assert bits == np.flatnonzero(adj[i]).tolist()
+
+
+def test_a_hypergraph_computes_only_the_rows_its_search_reads(monkeypatch):
+    universes = []
+
+    def recorded(instance, config):
+        universes.append(build_candidate_universe(instance, config))
+        return universes[-1]
+
+    monkeypatch.setattr(steiner, "build_candidate_universe", recorded)
+    build_component_hypergraph(pentagon_instance(), SchemeConfig())
+    (universe,) = universes
+    computed = len(universe.rows._rows) - universe.rows._rows.count(None)
+    assert 0 < computed < len(universe.points)
+
+
+def test_joining_children_match_a_bit_bfs_per_child():
+    # Each bit of the per-frame mask says whether adding that one point
+    # connects the targets: every point is tried, chosen ones and subset
+    # terminals included.
+    outcomes = {True: 0, False: 0}
+    terminal_children = {True: 0, False: 0}
+    for seed in range(10):
+        rng = random.Random(seed)
+        inst = uniform_box_instance(5, 3.0, seed, "all-1")
+        universe = build_candidate_universe(
+            inst, SchemeConfig(max_candidates=rng.choice((20, 40, 80)))
+        )
+        rows, relation = universe.rows, _relation(universe)
+        for _ in range(20):
+            targets = rng.sample(range(inst.n), rng.randint(1, inst.n))
+            nodes = targets + _random_node_set(rng, relation, rng.randint(1, 6))
+            joins = steiner._joining_children(rows, nodes, targets)
+            for c in range(len(rows)):
+                expected = connects_by_bit_bfs(rows, nodes + [c], targets)
+                assert bool(joins >> c & 1) == expected, (seed, nodes, targets, c)
+                outcomes[expected] += 1
+                if c in targets:
+                    terminal_children[expected] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+    assert min(terminal_children.values()) >= 100, terminal_children
+
+
+def test_the_search_accepts_what_a_bit_bfs_accepts():
+    # The mask-tested search and the same search with a BFS per leaf find the
+    # same set, or run out of states at the same count.
+    for seed in range(6):
+        rng = random.Random(seed)
+        inst = uniform_box_instance(5, 3.0, seed, "all-1")
+        universe = build_candidate_universe(inst, SchemeConfig(max_candidates=60))
+        rows = universe.rows
+        for _ in range(4):
+            subset = sorted(rng.sample(range(inst.n), rng.randint(2, inst.n)))
+
+            def by_bfs(chosen):
+                return connects_by_bit_bfs(rows, subset + list(chosen), subset)
+
+            for size in range(4):
+                results = []
+                for accept in (None, by_bfs):
+                    try:
+                        results.append(steiner._deepening_search(
+                            universe, subset, size, 3000, accept, False
+                        ))
+                    except OracleBudgetError:
+                        results.append("budget")
+                assert results[0] == results[1], (seed, subset, size)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.3, math.nan, math.inf, -math.inf])
+def test_grid_resolution_must_be_finite_and_positive(bad):
+    with pytest.raises(InstanceError, match="grid resolution"):
+        SchemeConfig(grid_resolution=bad)
+
+
+@pytest.mark.parametrize("resolution", [1e-6, 1e-12, 1e-300, 5e-324])
+def test_a_fine_grid_stops_at_the_cap_in_bounded_memory(resolution):
+    inst = uniform_box_instance(4, 2.0, 1, "all-1")
+    config = SchemeConfig(candidate_depth=0, grid_resolution=resolution, max_candidates=24)
+    tracemalloc.start()
+    try:
+        universe = build_candidate_universe(inst, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert universe.truncated
+    assert len(universe.points) > len(
+        build_candidate_universe(inst, replace(config, grid_resolution=None)).points
+    )
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [(-1.0, 3.0 + 1e-12, 0.3), (0.123, 7.9, 0.01), (-2.5, -2.5, 0.1), (1.0, 1.05, 0.1)],
+)
+def test_arange_blocks_are_numpy_arange(monkeypatch, start, stop, step):
+    monkeypatch.setattr(steiner, "_CHUNK", 16)
+    blocks = list(steiner._arange_blocks(start, stop, step))
+    assert all(len(b) <= 16 for b in blocks)
+    got = np.concatenate(blocks) if blocks else np.zeros(0)
+    assert np.array_equal(got, np.arange(start, stop, step))
 
 
 @pytest.mark.parametrize(
