@@ -32,12 +32,11 @@ from .connectivity import (
     half_integral_witness,
     is_feasible,
     prune_minimal,
-    q_connectivity,
     r_components,
     tau_star,
     verify_feasible,
 )
-from .beads import BeadEdge, BeadGraph, build_bead_graph, realize, tau_integral
+from .beads import BeadEdge, realize, tau_integral
 from .steiner import (
     Hyperedge,
     Hypergraph,

@@ -47,19 +47,6 @@ class BeadEdge:
     cost: int
 
 
-@dataclass(frozen=True)
-class BeadGraph:
-    """k parallel edges per terminal pair with bead costs."""
-
-    n: int
-    k: int
-    edges: Tuple[BeadEdge, ...]
-
-    def pair_edges(self, u: int, v: int) -> Tuple[BeadEdge, ...]:
-        u, v = min(u, v), max(u, v)
-        return tuple(e for e in self.edges if (e.u, e.v) == (u, v))
-
-
 def selection_of(table: CopyTable, counts) -> Tuple[BeadEdge, ...]:
     """The free copies plus the first ``counts[p]`` bought copies of each pair."""
     chosen = [BeadEdge(u, v, 0, 0) for (u, v) in table.base_caps]
@@ -68,11 +55,6 @@ def selection_of(table: CopyTable, counts) -> Tuple[BeadEdge, ...]:
         cost = table.pair_cost[(u, v)]
         chosen.extend(BeadEdge(u, v, free + c, cost) for c in range(cnt))
     return tuple(sorted(chosen))
-
-
-def build_bead_graph(instance: Instance) -> BeadGraph:
-    table = copy_table(instance)
-    return BeadGraph(instance.n, table.k, selection_of(table, table.max_extra))
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,12 @@ def _write_artifacts(out: Optional[str], report: RunReport, artifacts: Dict[str,
         (out_dir / name).write_text(content)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %s" % text)
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instance", help="instance JSON path")
     parser.add_argument(
@@ -193,7 +199,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", default="sn012", choices=["mst", "scheme", "sn012"])
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--backend", default="exact", choices=["exact", "pd"])
-    parser.add_argument("--trials", type=int, default=1)
+    parser.add_argument("--trials", type=_positive_int, default=1)
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--svg", action="store_true")
 
@@ -234,7 +240,7 @@ def main(argv=None) -> int:
     p_audit.add_argument(
         "--check", default="all", choices=sorted(AUDITS) + ["all"]
     )
-    p_audit.add_argument("--trials", type=int, default=None)
+    p_audit.add_argument("--trials", type=_positive_int, default=None)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--out", help="output directory")
 

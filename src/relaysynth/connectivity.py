@@ -24,8 +24,8 @@ Two engines answer that check, and the caller fixes which one runs:
   the first separating element on the tree path from i; its side is what i
   reaches without it.  The pass serves CopyGraph, one terminal multigraph
   that a search over copy counts (branch and bound, greedy patch, reverse
-  delete) changes by one copy at a time, first_deficiency on a given
-  multigraph, and is_feasible (pruning, degree reduction, brute force).
+  delete) changes by one copy at a time, and is_feasible (pruning, degree
+  reduction, brute force).
   Pruning's relay pass needs no check: after its edge pass
   it drops exactly the isolated relays.
 - element_maxflow, one flow per demand pair, serves violated_cuts,
@@ -284,25 +284,6 @@ def element_maxflow(
     return flow, biset, cut_nodes, tuple(sorted(set(cut_edges)))
 
 
-def _caps_from_edges(edges) -> Dict[Tuple[int, int], int]:
-    caps: Dict[Tuple[int, int], int] = {}
-    for e in edges:
-        key = tuple(sorted((e[0], e[1])))
-        caps[key] = caps.get(key, 0) + 1
-    return caps
-
-
-def q_connectivity(edges, q: Iterable[int], u: int, v: int, *, nodes=()) -> int:
-    """Maximum number of u-v paths disjoint in edges and in Q minus {u,v}.
-
-    ``edges`` is an iterable of node pairs; repeated pairs act as parallel
-    edges.  Mapping values (e.g. lengths) are ignored; use
-    ``element_maxflow`` with explicit multiplicities for multigraphs.
-    """
-    flow, _, _, _ = element_maxflow(_caps_from_edges(edges), q, u, v, extra_nodes=nodes)
-    return flow
-
-
 # ---------------------------------------------------------------------------
 # Feasibility and pruning
 
@@ -342,17 +323,10 @@ def _multiplicities(caps, nodes) -> Dict[int, Dict[int, int]]:
 
 
 def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolation]:
-    """The violations _deficiencies yields, for an integral multigraph ``caps``.
-
-    Builds the adjacency once and runs _lowlink_deficiencies on it; CopyGraph
-    keeps the one adjacency that changes a copy at a time.
-    """
+    """The violations _deficiencies yields, for an integral multigraph ``caps``
+    whose ``nodes`` cover every terminal: one lowlink pass, as in CopyGraph."""
     adj = _multiplicities(caps, nodes)
-    demands = instance.demand_pairs()
-    for (i, j, _) in demands:
-        adj.setdefault(i, {})
-        adj.setdefault(j, {})
-    return _lowlink_deficiencies(demands, adj, caps, q)
+    return _lowlink_deficiencies(instance.demand_pairs(), adj, caps, q)
 
 
 def _lowlink_deficiencies(demands, adj, caps, q) -> Iterator[DemandViolation]:
@@ -539,19 +513,6 @@ def violated_cuts(instance: Instance, caps) -> Iterator[DemandViolation]:
     return _deficiencies(instance, caps, instance.unstable, range(instance.n))
 
 
-def first_deficiency(instance: Instance, caps) -> Optional[DemandViolation]:
-    """First demand the terminal multigraph ``caps`` misses, with unstable
-    terminals as the only node-capacitated elements; None when all are met.
-
-    ``caps`` maps pairs to integer multiplicities, and ConnectivityError is
-    raised for any other capacity.  It equals the first cut violated_cuts
-    yields on the same capacities.  A search over copy counts asks
-    CopyGraph.first_deficiency instead, which keeps its multigraph between
-    checks.
-    """
-    return next(_unit_deficiencies(instance, caps, instance.unstable, range(instance.n)), None)
-
-
 class CopyGraph:
     """The terminal multigraph of a copy table under a purchase that changes
     one copy at a time.
@@ -590,7 +551,7 @@ class CopyGraph:
                 row[key] -= 1
 
     def first_deficiency(self) -> Optional[DemandViolation]:
-        """The module's first_deficiency on the current multigraph."""
+        """The first cut violated_cuts yields on the same capacities, or None."""
         return next(_lowlink_deficiencies(self._demands, self._adj, self.caps, self._q), None)
 
 

@@ -120,7 +120,7 @@ def generate(config: ExperimentConfig, index: int = 0) -> Instance:
     if family == "collinear":
         return collinear_instance()
     if family == "star":
-        return star_instance(max(config.n, 4), seed)
+        return star_instance(config.n, seed)
     if family == "uniform-box":
         return uniform_box_instance(config.n, config.box, seed, config.demand_profile)
     raise InstanceError("unknown generator %r" % (family,))

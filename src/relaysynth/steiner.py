@@ -1,10 +1,10 @@
 """Tree solvers for all-pairs demands: MST baseline, small-set oracle, hypergraph.
 
 The small-set oracle searches a shared candidate universe (terminal positions,
-unit-circle intersections, bead points, optional grid) by iterative deepening
-on the number of relay points.  It is exact over that universe; the universe
-itself is heuristically complete, so callers either use analytically known
-cases or cross-validate at two grid resolutions.
+unit-circle intersections, bead points) by iterative deepening on the number
+of relay points.  It is exact over that universe; the universe itself is
+heuristically complete, so its costs are upper bounds, exact only where the
+optimal relays are known to lie among the candidates.
 
 The universe stores its unit-disk relation once, as one Python-int bitmask
 row per point; a planar universe computes each row on its first read, so a
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -58,15 +57,12 @@ class SchemeConfig:
 
     k: int = 5
     candidate_depth: int = 2
-    grid_resolution: Optional[float] = None
     max_candidates: int = 1500
     state_cap: int = 400_000
 
     def __post_init__(self):
         if self.k < 2:
             raise InstanceError("component size cap k must be >= 2")
-        if self.grid_resolution is not None and not 0 < self.grid_resolution < math.inf:
-            raise InstanceError("grid resolution must be a finite number > 0")
 
 
 def require_all_pairs_unit_demands(instance: Instance) -> None:
@@ -111,8 +107,7 @@ def mst_baseline(instance: Instance) -> SolutionGraph:
 # Candidate universe
 
 
-_CHUNK = 256  # rows per block: dedup's float conversion, bead pairs, grid points
-_GRID_SCAN = 1024  # grid points scanned per candidate slot before the mesh gives up
+_CHUNK = 256  # rows per block: dedup's float conversion, bead pairs
 
 
 class _UnitDiskRows(Sequence):
@@ -182,16 +177,6 @@ def _pairs(arr: np.ndarray, start: int = 0, stop: Optional[int] = None):
 def _bead_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = np.sqrt(((b - a) ** 2).sum(axis=1))
     return np.maximum(np.ceil(d - EPS_GEO).astype(int) - 1, 0)
-
-
-def _arange_blocks(start: float, stop: float, step: float):
-    """``np.arange(start, stop, step)`` in blocks of at most ``_CHUNK`` values,
-    by numpy's own rule (value i is start + i * ((start + step) - start)),
-    without allocating the whole range."""
-    length = math.ceil(min((stop - start) / step, sys.maxsize))
-    delta = (start + step) - start
-    for lo in range(0, length, _CHUNK):
-        yield start + np.arange(lo, min(lo + _CHUNK, length), dtype=float) * delta
 
 
 def _candidate_coords(
@@ -266,25 +251,6 @@ def _candidate_coords(
             for c in sorted(set(counts.tolist()) - {0, 1}):
                 push_beads(a, b, counts, c)
 
-    # A grid, pushed _CHUNK points of one mesh row at a time; a mesh finer
-    # than the dedup keys repeats keys, so its scan is bounded too.
-    if config.grid_resolution is not None and not truncated:
-        delta = config.grid_resolution
-        xs = [p.coords[0] for p in instance.terminals]
-        ys = [p.coords[1] for p in instance.terminals]
-        mesh = (
-            np.column_stack([gx, np.full(len(gx), y)])
-            for gy in _arange_blocks(min(ys) - 1.0, max(ys) + 1.0 + 1e-12, delta)
-            for y in gy
-            for gx in _arange_blocks(min(xs) - 1.0, max(xs) + 1.0 + 1e-12, delta)
-        )
-        scanned = 0
-        for block in mesh:
-            if truncated or scanned >= _GRID_SCAN * cap:
-                truncated = True
-                break
-            push_block(block)
-            scanned += len(block)
     return coords, truncated
 
 

@@ -36,6 +36,15 @@ def enumerate_simple_paths(edges, u: int, v: int) -> List[Tuple[int, ...]]:
     return paths
 
 
+def edge_multiplicities(edges) -> Dict[Tuple[int, int], int]:
+    """Pair capacities of an edge list: each repeated pair is one more copy."""
+    caps: Dict[Tuple[int, int], int] = {}
+    for a, b in edges:
+        key = (min(a, b), max(a, b))
+        caps[key] = caps.get(key, 0) + 1
+    return caps
+
+
 def brute_q_connectivity(edges, q, u: int, v: int) -> int:
     """Largest family of u-v paths pairwise disjoint in edges and interior
     Q-nodes, by exhaustive search over simple paths."""
@@ -171,16 +180,15 @@ def connects_by_bit_bfs(rows, nodes, targets) -> bool:
     return not pending & goal
 
 
-def reference_universe(terminals, depth: int, cap: int, eps: float, grid=None):
+def reference_universe(terminals, depth: int, cap: int, eps: float):
     """The planar candidate universe, deduplicated one row at a time.
 
     Candidates come in blocks: the unit-circle intersections of every point
     pair, ``depth`` times over; the interior bead points of every pair
-    segment, grouped by bead count; then an optional grid of spacing
-    ``grid``.  A row is kept unless its coordinates, each rounded by numpy's
-    scalar ``round(x, 9)``, repeat a kept row's; the first new row past
-    ``cap`` points stops the build as truncated.  The relation is the full
-    pairwise difference array reduced over its last axis.
+    segment, grouped by bead count.  A row is kept unless its coordinates,
+    each rounded by numpy's scalar ``round(x, 9)``, repeat a kept row's; the
+    first new row past ``cap`` points stops the build as truncated.  The
+    relation is the full pairwise difference array reduced over its last axis.
 
     Returns (coords, adjacency, truncated, origin), where origin[i] is the
     (block, row) that produced point i, with block -1 for the terminals.
@@ -236,13 +244,6 @@ def reference_universe(terminals, depth: int, cap: int, eps: float, grid=None):
                 truncated = truncated or push(aa + (step / (c + 1)) * (bb - aa))
             if truncated:
                 break
-
-    if grid and not truncated:
-        xs = [x for x, _ in terminals]
-        ys = [y for _, y in terminals]
-        gx = np.arange(min(xs) - 1.0, max(xs) + 1.0 + 1e-12, grid)
-        gy = np.arange(min(ys) - 1.0, max(ys) + 1.0 + 1e-12, grid)
-        truncated = push(np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2))
 
     arr = np.array(coords)
     diff = arr[:, None, :] - arr[None, :, :]

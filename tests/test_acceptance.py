@@ -18,7 +18,7 @@ from relaysynth.audits import (
     audit_replacement_bound,
     audit_witness,
 )
-from relaysynth.connectivity import is_feasible, prune_minimal, q_connectivity
+from relaysynth.connectivity import element_maxflow, is_feasible, prune_minimal
 from relaysynth.generators import (
     collinear_instance,
     pentagon_instance,
@@ -36,7 +36,7 @@ from relaysynth.local_replacement import st_msp_scheme
 from relaysynth.steiner import SchemeConfig, brute_force_opt, mst_baseline
 from relaysynth.survivable import degree_reduce, solve_sn_msp_012
 
-from bruteforce import brute_q_connectivity
+from bruteforce import brute_q_connectivity, edge_multiplicities
 
 DELTA_PLANE = 5
 
@@ -178,7 +178,8 @@ def test_connectivity_oracle_equivalence():
                     edges.append((i, j))
         q = {v for v in range(n) if rng.random() < 0.4}
         u, v = rng.sample(range(n), 2)
-        if q_connectivity(edges, q, u, v) != brute_q_connectivity(edges, q, u, v):
+        flow = element_maxflow(edge_multiplicities(edges), q, u, v)[0]
+        if flow != brute_q_connectivity(edges, q, u, v):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     assert mismatches == 0

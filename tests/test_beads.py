@@ -9,11 +9,12 @@ from relaysynth import beads
 from relaysynth.beads import (
     BeadEdge,
     SizeCapError,
-    build_bead_graph,
     realize,
+    selection_of,
     tau_integral,
 )
 from relaysynth.connectivity import (
+    copy_table,
     element_maxflow,
     is_feasible,
     tau_star,
@@ -36,22 +37,29 @@ def two_terminals(d, r):
     return make_instance([Point.at(0, 0), Point.at(d, 0)], {(0, 1): r}, E2)
 
 
+def all_bead_edges(inst):
+    """Every copy of every pair: the free copies and all k - free bought ones."""
+    table = copy_table(inst)
+    return selection_of(table, table.max_extra)
+
+
+def pair_edges(inst, u, v):
+    return tuple(e for e in all_bead_edges(inst) if (e.u, e.v) == (u, v))
+
+
 def test_bead_graph_positive_distance():
     inst = two_terminals(2.5, 2)
-    bg = build_bead_graph(inst)
-    assert [(e.copy, e.cost) for e in bg.pair_edges(0, 1)] == [(0, 2), (1, 2)]
+    assert [(e.copy, e.cost) for e in pair_edges(inst, 0, 1)] == [(0, 2), (1, 2)]
 
 
 def test_bead_graph_short_pair_gets_one_free_copy():
     inst = two_terminals(0.8, 2)
-    bg = build_bead_graph(inst)
-    assert [(e.copy, e.cost) for e in bg.pair_edges(0, 1)] == [(0, 0), (1, 1)]
+    assert [(e.copy, e.cost) for e in pair_edges(inst, 0, 1)] == [(0, 0), (1, 1)]
 
 
 def test_bead_graph_unit_distance_single_copy():
     inst = two_terminals(1.0, 1)
-    bg = build_bead_graph(inst)
-    assert [(e.copy, e.cost) for e in bg.pair_edges(0, 1)] == [(0, 0)]
+    assert [(e.copy, e.cost) for e in pair_edges(inst, 0, 1)] == [(0, 0)]
 
 
 def test_realize_equal_spacing():
@@ -83,8 +91,7 @@ def test_realize_size_always_matches_cost():
         n = rng.randint(2, 5)
         pts = [Point.at(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(n)]
         inst = make_instance(pts, {(0, 1): 2}, E2)
-        bg = build_bead_graph(inst)
-        selected = [e for e in bg.edges if rng.random() < 0.5]
+        selected = [e for e in all_bead_edges(inst) if rng.random() < 0.5]
         placement = realize(inst, selected)
         assert placement.size == sum(e.cost for e in selected)
 

@@ -146,6 +146,32 @@ def test_usage_error_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--check", "witness", "--trials", "-1"),
+        ("audit", "--trials", "0"),
+        ("solve", "--trials", "-1"),
+        ("solve", "--trials", "0"),
+        ("sweep", "--trials", "0"),
+        ("gen", "--trials", "0"),
+    ],
+    ids=" ".join,
+)
+def test_trials_below_one_is_a_usage_error(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
+def test_star_family_keeps_its_terminal_count(capsys):
+    assert run_cli("gen", "--family", "star", "--n", "2") == 1
+    assert capsys.readouterr().err == "error: star family needs at least 4 terminals\n"
+    assert run_cli("gen", "--family", "star", "--n", "5") == 0
+    assert len(json.loads(capsys.readouterr().out)["terminals"]) == 5
+
+
 def test_missing_instance_file_exits_one(capsys, tmp_path):
     assert run_cli("solve", "--instance", str(tmp_path / "nope.json")) == 1
     capsys.readouterr()

@@ -18,12 +18,10 @@ from relaysynth.connectivity import (
     blocks,
     dfs_cycle,
     element_maxflow,
-    first_deficiency,
     fractional_feasible,
     half_integral_witness,
     is_feasible,
     prune_minimal,
-    q_connectivity,
     r_components,
     tau_star,
     verify_feasible,
@@ -39,7 +37,7 @@ from relaysynth.instances import (
     make_instance,
 )
 
-from bruteforce import brute_q_connectivity, prune_by_rechecks
+from bruteforce import brute_q_connectivity, edge_multiplicities, prune_by_rechecks
 
 E2 = MetricSpace.euclidean(2)
 
@@ -61,28 +59,28 @@ def square_instance():
 
 
 # ---------------------------------------------------------------------------
-# q_connectivity
+# Q-connectivity
 
 
 def test_single_path_through_q_node():
     edges = [(0, 2), (2, 1)]
-    assert q_connectivity(edges, {2}, 0, 1) == 1
+    assert element_maxflow(edge_multiplicities(edges), {2}, 0, 1)[0] == 1
 
 
 def test_cycle_gives_two_paths():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert q_connectivity(edges, set(), 0, 2) == 2
+    assert element_maxflow(edge_multiplicities(edges), set(), 0, 2)[0] == 2
 
 
 def test_shared_q_node_caps_at_one():
     # two u-v routes through the same interior Q-node w
     edges = [(0, 2), (2, 1), (0, 3), (3, 2), (2, 4), (4, 1)]
-    assert q_connectivity(edges, {2}, 0, 1) == 1
+    assert element_maxflow(edge_multiplicities(edges), {2}, 0, 1)[0] == 1
 
 
 def test_q_connectivity_rejects_equal_endpoints():
     with pytest.raises(ConnectivityError):
-        q_connectivity([(0, 1)], set(), 0, 0)
+        element_maxflow(edge_multiplicities([(0, 1)]), set(), 0, 0)
 
 
 def test_parallel_edges_counted_by_capacity():
@@ -101,9 +99,8 @@ def test_oracle_equivalence_random_graphs():
                     edges.append((i, j))
         q = {v for v in range(n) if rng.random() < 0.4}
         u, v = rng.sample(range(n), 2)
-        assert q_connectivity(edges, q, u, v) == brute_q_connectivity(
-            edges, q, u, v
-        )
+        flow = element_maxflow(edge_multiplicities(edges), q, u, v)[0]
+        assert flow == brute_q_connectivity(edges, q, u, v)
 
 
 def test_menger_duality_cut_size_matches_flow():
@@ -214,8 +211,9 @@ def test_unit_deficiencies_match_element_flow():
 
 def test_first_deficiency_rejects_fractional_capacity():
     inst = make_instance([Point.at(0, 0), Point.at(0.5, 0)], {(0, 1): 1}, E2)
+    caps = {(0, 1): Fraction(1, 2)}
     with pytest.raises(ConnectivityError):
-        first_deficiency(inst, {(0, 1): Fraction(1, 2)})
+        next(_unit_deficiencies(inst, caps, inst.unstable, range(inst.n)))
 
 
 # ---------------------------------------------------------------------------

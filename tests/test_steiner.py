@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -179,10 +178,11 @@ def test_brute_force_budget_exhaustion():
 
 
 def test_two_grid_resolutions_agree_on_triangle():
-    # cross-validation mode: a grid at delta and delta/2 yields the same optimum
+    # cross-validation: a coarse candidate universe (one layer of unit-circle
+    # intersections) and the default two-layer one yield the same optimum
     inst = sqrt3_triangle()
-    for delta in (0.4, 0.2):
-        cfg = SchemeConfig(k=3, candidate_depth=1, grid_resolution=delta)
+    for depth in (1, 2):
+        cfg = SchemeConfig(k=3, candidate_depth=depth)
         res = exact_component_oracle(inst, [0, 1, 2], cfg)
         assert res.cost == 1
 
@@ -325,11 +325,6 @@ def _reference_case(kind):
     if kind == "none":
         inst = uniform_box_instance(3, 1.5, 0, "all-1")
         return inst, SchemeConfig(max_candidates=3000)
-    if kind == "grid":
-        inst = uniform_box_instance(4, 2.0, 1, "all-1")
-        return inst, SchemeConfig(
-            candidate_depth=1, grid_resolution=0.3, max_candidates=3000
-        )
     if kind == "count3":
         # One pair needs three beads, and nothing is cut.
         inst = uniform_box_instance(6, 3.0, 1, "all-1")
@@ -367,7 +362,7 @@ def _reference_case(kind):
 # puts many block edges inside the relation, and a large one.
 @pytest.mark.parametrize("chunk", [steiner._CHUNK, 16, 1024])
 @pytest.mark.parametrize(
-    "kind", ["inside", "boundary", "none", "grid", "count1", "count2", "count3"]
+    "kind", ["inside", "boundary", "none", "count1", "count2", "count3"]
 )
 def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
     monkeypatch.setattr(steiner, "_CHUNK", chunk)
@@ -377,7 +372,6 @@ def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
         config.candidate_depth,
         config.max_candidates,
         EPS_GEO,
-        config.grid_resolution,
     )
     assert truncated == (kind in ("inside", "boundary", "count1", "count2"))
 
@@ -467,41 +461,6 @@ def test_the_search_accepts_what_a_bit_bfs_accepts():
                     except OracleBudgetError:
                         results.append("budget")
                 assert results[0] == results[1], (seed, subset, size)
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.3, math.nan, math.inf, -math.inf])
-def test_grid_resolution_must_be_finite_and_positive(bad):
-    with pytest.raises(InstanceError, match="grid resolution"):
-        SchemeConfig(grid_resolution=bad)
-
-
-@pytest.mark.parametrize("resolution", [1e-6, 1e-12, 1e-300, 5e-324])
-def test_a_fine_grid_stops_at_the_cap_in_bounded_memory(resolution):
-    inst = uniform_box_instance(4, 2.0, 1, "all-1")
-    config = SchemeConfig(candidate_depth=0, grid_resolution=resolution, max_candidates=24)
-    tracemalloc.start()
-    try:
-        universe = build_candidate_universe(inst, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert universe.truncated
-    assert len(universe.points) > len(
-        build_candidate_universe(inst, replace(config, grid_resolution=None)).points
-    )
-    assert peak < 64 * 2**20
-
-
-@pytest.mark.parametrize(
-    "start, stop, step",
-    [(-1.0, 3.0 + 1e-12, 0.3), (0.123, 7.9, 0.01), (-2.5, -2.5, 0.1), (1.0, 1.05, 0.1)],
-)
-def test_arange_blocks_are_numpy_arange(monkeypatch, start, stop, step):
-    monkeypatch.setattr(steiner, "_CHUNK", 16)
-    blocks = list(steiner._arange_blocks(start, stop, step))
-    assert all(len(b) <= 16 for b in blocks)
-    got = np.concatenate(blocks) if blocks else np.zeros(0)
-    assert np.array_equal(got, np.arange(start, stop, step))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from relaysynth.connectivity import (
     CopyGraph,
     TauStarResult,
     copy_table,
-    first_deficiency,
     greedy_patch,
     is_feasible,
     prune_minimal,
@@ -125,7 +124,7 @@ def _bought_copies_are_each_needed(inst, check_realized):
         e = selected[i]
         fewer = dict(counts)
         fewer[(e.u, e.v)] -= 1
-        assert first_deficiency(inst, table.caps(fewer)) is not None, e
+        assert CopyGraph(inst, table, fewer).first_deficiency() is not None, e
         if check_realized:
             rest = selected[:i] + selected[i + 1:]
             assert verify_feasible(inst, realize(inst, rest).solution), e
@@ -187,7 +186,7 @@ def test_rounded_vertex_costs_at_most_twice_tau_star(monkeypatch):
         assert res.lower_bound == tau.value
         assert handed == [_rounded_vertex(table, tau)]
         assert table.cost(handed[0]) <= 2 * tau.value
-        if first_deficiency(inst, table.caps(handed[0])) is None:
+        if CopyGraph(inst, table, handed[0]).first_deficiency() is None:
             unpatched += 1
             assert res.cost <= 2 * tau.value
     # Measured, not a theorem: every vertex of this pool rounds to a
