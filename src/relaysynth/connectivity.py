@@ -176,8 +176,6 @@ class DemandViolation:
     required: int
     achieved: object  # int for graphs, Fraction for fractional capacities
     witness: Biset
-    cut_nodes: Tuple[int, ...]
-    cut_edges: Tuple[Tuple[int, int], ...]
 
 
 def element_maxflow(
@@ -191,8 +189,13 @@ def element_maxflow(
 ):
     """Max flow between terminals where Q-nodes (except s,t) have capacity one.
 
-    Returns (flow_value, biset, cut_nodes, cut_edges).  Edge capacities may be
-    ints or Fractions; zero-capacity edges are ignored.
+    Returns (flow_value, biset).  The biset is the min cut that the last
+    augmenting search, the one that fails to reach t, leaves behind: its
+    inner part holds the nodes whose out-copy that search reached, its outer
+    part the nodes with either copy reached, so the boundary holds the Q-nodes
+    the cut runs through.  Once the flow reaches ``limit`` no search fails and
+    the biset is None.  Edge capacities may be ints or Fractions;
+    zero-capacity edges are ignored.
     """
     if s == t:
         raise ConnectivityError("endpoints must differ")
@@ -200,7 +203,8 @@ def element_maxflow(
     for (a, b) in edge_caps:
         raw_nodes.add(a)
         raw_nodes.add(b)
-    idx = {v: i for i, v in enumerate(sorted(raw_nodes))}
+    nodes = sorted(raw_nodes)
+    idx = {v: i for i, v in enumerate(nodes)}
     qset = set(qnodes) - {s, t}
 
     total = sum(c for c in edge_caps.values())
@@ -227,7 +231,7 @@ def element_maxflow(
     flow = 0
     while True:
         if limit is not None and flow >= limit:
-            break
+            return flow, None
         parent = {src: None}
         queue = deque([src])
         while queue:
@@ -239,7 +243,9 @@ def element_maxflow(
                     parent[v] = u
                     queue.append(v)
         if snk not in parent:
-            break
+            # The search ran to the end: it reached the whole residual side.
+            inner = frozenset(nodes[u >> 1] for u in parent if u & 1)
+            return flow, Biset(inner, frozenset(nodes[u >> 1] for u in parent))
         bottleneck = None
         v = snk
         while parent[v] is not None:
@@ -255,34 +261,6 @@ def element_maxflow(
             v = u
         flow += bottleneck
 
-    # Residual reachability gives the Menger cut.
-    reach = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, c in cap[u].items():
-            if c > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
-    rev = {i: v for v, i in idx.items()}
-    inner = frozenset(rev[i // 2] for i in reach if i % 2 == 1)
-    cut_nodes = tuple(
-        sorted(
-            rev[i]
-            for i in range(len(idx))
-            if 2 * i in reach and 2 * i + 1 not in reach
-        )
-    )
-    cut_edges = []
-    for (a, b) in edge_caps:
-        ia, ib = idx[a], idx[b]
-        if 2 * ia + 1 in reach and 2 * ib not in reach:
-            cut_edges.append(tuple(sorted((a, b))))
-        elif 2 * ib + 1 in reach and 2 * ia not in reach:
-            cut_edges.append(tuple(sorted((a, b))))
-    biset = Biset(inner=inner, outer=inner | set(cut_nodes))
-    return flow, biset, cut_nodes, tuple(sorted(set(cut_edges)))
-
 
 # ---------------------------------------------------------------------------
 # Feasibility and pruning
@@ -292,16 +270,15 @@ def _deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolatio
     """Unmet demands in order, each with its Menger cut.
 
     One element flow per demand pair, capped at the demand r.  A flow that
-    stops below r found no augmenting path, so it is maximum and its cut is
-    the min cut.  Each Q-node on the boundary of that cut costs one, so for
-    r <= 2 the witness has at most one boundary node.
+    stops below r ends with a search that finds no augmenting path, so it is
+    maximum and it returns the min cut that search reached; a flow that
+    reaches r returns no cut.  Each Q-node on the boundary of that cut costs
+    one, so for r <= 2 the witness has at most one boundary node.
     """
     for (i, j, r) in instance.demand_pairs():
-        flow, biset, cut_nodes, cut_edges = element_maxflow(
-            caps, q, i, j, limit=r, extra_nodes=nodes
-        )
-        if flow < r:
-            yield DemandViolation((i, j), r, flow, biset, cut_nodes, cut_edges)
+        flow, biset = element_maxflow(caps, q, i, j, limit=r, extra_nodes=nodes)
+        if biset is not None:
+            yield DemandViolation((i, j), r, flow, biset)
 
 
 def _multiplicities(caps, nodes) -> Dict[int, Dict[int, int]]:
@@ -326,12 +303,12 @@ def _unit_deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandVio
     """The violations _deficiencies yields, for an integral multigraph ``caps``
     whose ``nodes`` cover every terminal: one lowlink pass, as in CopyGraph."""
     adj = _multiplicities(caps, nodes)
-    return _lowlink_deficiencies(instance.demand_pairs(), adj, caps, q)
+    return _lowlink_deficiencies(instance.demand_pairs(), adj, q)
 
 
-def _lowlink_deficiencies(demands, adj, caps, q) -> Iterator[DemandViolation]:
-    """Unmet ``demands`` of the multigraph ``adj`` (whose pairs are the keys of
-    ``caps``) with Q-nodes ``q``, each with the cut element_maxflow returns.
+def _lowlink_deficiencies(demands, adj, q) -> Iterator[DemandViolation]:
+    """Unmet ``demands`` of the multigraph ``adj`` with Q-nodes ``q``, each
+    with the biset element_maxflow returns.
 
     One lowlink pass decides every demand.  With r <= 2 a demand fails only
     when no path joins i and j, or when one element separates them: an edge
@@ -352,7 +329,7 @@ def _lowlink_deficiencies(demands, adj, caps, q) -> Iterator[DemandViolation]:
         while not disc[up[-1]] <= disc[j] <= last[up[-1]] and parent[up[-1]] is not None:
             up.append(parent[up[-1]])
         top = up[-1]
-        flow, cut_nodes, skip_node, skip_edge = 0, (), None, {}
+        flow, skip_node, skip_edge = 0, None, {}
         if disc[top] <= disc[j] <= last[top]:
             if r < 2:
                 continue
@@ -369,7 +346,7 @@ def _lowlink_deficiencies(demands, adj, caps, q) -> Iterator[DemandViolation]:
                 if b != j and b in q and any(
                     parent[x] == b and low[x] >= disc[b] for x in (a, path[m + 1])
                 ):
-                    skip_node, cut_nodes = b, (b,)
+                    skip_node = b
                     break
             else:
                 continue
@@ -383,15 +360,8 @@ def _lowlink_deficiencies(demands, adj, caps, q) -> Iterator[DemandViolation]:
                     inner.add(w)
                     stack.append(w)
         inner = frozenset(inner)
-        outer = inner.union(cut_nodes)
-        cut_edges = {
-            (a, b) if a < b else (b, a)
-            for (a, b) in caps
-            if (a in inner and b not in outer) or (b in inner and a not in outer)
-        }
-        yield DemandViolation(
-            (i, j), r, flow, Biset(inner, outer), cut_nodes, tuple(sorted(cut_edges))
-        )
+        outer = inner if skip_node is None else inner | {skip_node}
+        yield DemandViolation((i, j), r, flow, Biset(inner, outer))
 
 
 def _graph_elements(solution: SolutionGraph):
@@ -517,25 +487,23 @@ class CopyGraph:
     """The terminal multigraph of a copy table under a purchase that changes
     one copy at a time.
 
-    It is built once from a count map, with the integer check of its
-    capacities.  ``buy`` and ``sell`` then add and remove one bought copy of
-    a pair in place, in ``counts``, ``caps`` (the free plus the bought
-    copies, without zero entries) and the lowlink adjacency, and
-    ``first_deficiency`` runs one lowlink pass on the current multigraph.
+    It is built once from a count map: its lowlink adjacency comes from the
+    free plus the bought copies, with the integer check of their capacities.
+    ``buy`` and ``sell`` then add and remove one bought copy of a pair in
+    place, in ``counts`` and the adjacency, and ``first_deficiency`` runs one
+    lowlink pass on the current multigraph.
     Branch and bound, greedy_patch and reverse_delete all run on it.
     """
 
     def __init__(self, instance: Instance, table: CopyTable, counts=()):
         self.counts: Dict[Tuple[int, int], int] = dict(counts)
-        self.caps = table.caps(self.counts)
-        self._adj = _multiplicities(self.caps, range(instance.n))
+        self._adj = _multiplicities(table.caps(self.counts), range(instance.n))
         self._demands = instance.demand_pairs()
         self._q = instance.unstable
 
     def buy(self, pair: Tuple[int, int]) -> None:
         a, b = pair
         self.counts[pair] = self.counts.get(pair, 0) + 1
-        self.caps[pair] = self.caps.get(pair, 0) + 1
         row_a, row_b = self._adj[a], self._adj[b]
         row_a[b] = row_a.get(b, 0) + 1
         row_b[a] = row_b.get(a, 0) + 1
@@ -543,7 +511,7 @@ class CopyGraph:
     def sell(self, pair: Tuple[int, int]) -> None:
         """Remove one bought copy of ``pair``; KeyError when none is bought."""
         a, b = pair
-        rows = ((self.counts, pair), (self.caps, pair), (self._adj[a], b), (self._adj[b], a))
+        rows = ((self.counts, pair), (self._adj[a], b), (self._adj[b], a))
         for row, key in rows:
             if row[key] == 1:
                 del row[key]
@@ -552,7 +520,7 @@ class CopyGraph:
 
     def first_deficiency(self) -> Optional[DemandViolation]:
         """The first cut violated_cuts yields on the same capacities, or None."""
-        return next(_lowlink_deficiencies(self._demands, self._adj, self.caps, self._q), None)
+        return next(_lowlink_deficiencies(self._demands, self._adj, self._q), None)
 
 
 def greedy_patch(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[int, int], int]:

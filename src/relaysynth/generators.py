@@ -86,6 +86,8 @@ def draw_box_instance(
 ) -> Instance:
     """n uniform terminals in a box; "random" demands come from (0, 0, 1, 1, 2)
     with (0, 1) as the fallback, and each terminal is unstable with p = 0.3."""
+    if not (math.isfinite(box) and box > 0):
+        raise InstanceError("box size must be a finite positive number, got %r" % (box,))
     pts = [Point.at(rng.uniform(0, box), rng.uniform(0, box)) for _ in range(n)]
     unstable = ()
     if demand_profile == "all-1":

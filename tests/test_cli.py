@@ -172,6 +172,14 @@ def test_star_family_keeps_its_terminal_count(capsys):
     assert len(json.loads(capsys.readouterr().out)["terminals"]) == 5
 
 
+@pytest.mark.parametrize("box", ["-1", "0", "nan"])
+def test_box_size_must_be_finite_and_positive(tmp_path, capsys, box):
+    assert run_cli("solve", "--box", box, "--n", "3", "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: box size must be a finite positive number")
+
+
 def test_missing_instance_file_exits_one(capsys, tmp_path):
     assert run_cli("solve", "--instance", str(tmp_path / "nope.json")) == 1
     capsys.readouterr()

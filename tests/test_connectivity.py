@@ -9,13 +9,16 @@ from scipy.optimize import linprog
 import relaysynth.connectivity
 from relaysynth.beads import realize, tau_integral
 from relaysynth.connectivity import (
+    Biset,
     ConnectivityError,
+    CopyGraph,
     _deficiencies,
     _unit_deficiencies,
     FractionalBeadSolution,
     NonTreeComponentError,
     WitnessEdge,
     blocks,
+    copy_table,
     dfs_cycle,
     element_maxflow,
     fractional_feasible,
@@ -84,7 +87,7 @@ def test_q_connectivity_rejects_equal_endpoints():
 
 
 def test_parallel_edges_counted_by_capacity():
-    flow, _, _, _ = element_maxflow({(0, 1): 2}, set(), 0, 1)
+    flow, _ = element_maxflow({(0, 1): 2}, set(), 0, 1)
     assert flow == 2
 
 
@@ -114,10 +117,14 @@ def test_menger_duality_cut_size_matches_flow():
                     caps[(i, j)] = 1
         q = {v for v in range(n) if rng.random() < 0.4}
         u, v = rng.sample(range(n), 2)
-        flow, biset, cut_nodes, cut_edges = element_maxflow(
-            caps, q, u, v, extra_nodes=range(n)
-        )
-        assert flow == len(cut_nodes) + len(cut_edges)
+        flow, biset = element_maxflow(caps, q, u, v, extra_nodes=range(n))
+        crossing = [
+            (a, b)
+            for (a, b) in caps
+            if (a in biset.inner) != (b in biset.inner)
+            and not {a, b} & biset.boundary
+        ]
+        assert flow == len(biset.boundary) + len(crossing)
         assert u in biset.inner
         assert v not in biset.outer
 
@@ -145,6 +152,66 @@ def test_capped_flow_below_limit_equals_uncapped_flow():
             below += 1
             assert capped == element_maxflow(caps, q, s, t, extra_nodes=range(n))
     assert below >= 100
+
+
+def _networkx_cut(caps, q, s, t, nodes):
+    """Max flow and residual-reachable biset of the node-split digraph, by
+    networkx on capacities scaled to integers."""
+    scale = math.lcm(1, *(Fraction(c).denominator for c in caps.values()))
+    scaled = {e: int(c * scale) for e, c in caps.items() if c > 0}
+    big = sum(scaled.values()) + scale * (len(q) + 1)
+    graph = nx.DiGraph()
+    for v in nodes:
+        graph.add_edge((v, "in"), (v, "out"), capacity=scale if v in q - {s, t} else big)
+    for (a, b), c in scaled.items():
+        graph.add_edge((a, "out"), (b, "in"), capacity=c)
+        graph.add_edge((b, "out"), (a, "in"), capacity=c)
+    value, flows = nx.maximum_flow(graph, (s, "out"), (t, "in"))
+
+    def residual(u, v):
+        forward = graph.edges[u, v]["capacity"] - flows[u][v] if graph.has_edge(u, v) else 0
+        return forward + (flows[v][u] if graph.has_edge(v, u) else 0)
+
+    reach = {(s, "out")}
+    queue = [(s, "out")]
+    while queue:
+        u = queue.pop()
+        for v in set(graph.successors(u)) | set(graph.predecessors(u)):
+            if v not in reach and residual(u, v) > 0:
+                reach.add(v)
+                queue.append(v)
+    inner = frozenset(v for v, side in reach if side == "out")
+    return Fraction(value, scale), Biset(inner, frozenset(v for v, _ in reach))
+
+
+def test_element_flow_cut_matches_networkx():
+    # The biset comes from the flow's last, failing search; it must be the
+    # residual-reachable side of any maximum flow, here networkx's.
+    rng = random.Random(61)
+    reached = below = 0
+    for trial in range(150):
+        n = rng.randint(2, 7)
+        caps = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    caps[(i, j)] = (
+                        rng.randint(0, 2) if trial % 2
+                        else Fraction(rng.randint(0, 6), 4)
+                    )
+        q = {v for v in range(n) if rng.random() < 0.4}
+        s, t = rng.sample(range(n), 2)
+        value, cut = _networkx_cut(caps, q, s, t, range(n))
+        assert element_maxflow(caps, q, s, t, extra_nodes=range(n)) == (value, cut)
+        r = rng.choice((1, 2))
+        flow, biset = element_maxflow(caps, q, s, t, limit=r, extra_nodes=range(n))
+        if value >= r:
+            reached += 1
+            assert flow >= r and biset is None
+        else:
+            below += 1
+            assert (flow, biset) == (value, cut)
+    assert reached >= 30 and below >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +267,37 @@ def test_unit_deficiencies_match_element_flow():
         for cut in fast:
             if cut.achieved == 0:
                 kinds.add("no path")
-            elif cut.cut_nodes:
+            elif cut.witness.boundary:
                 kinds.add("node")
             else:
                 kinds.add("edge")
                 if _also_separates(caps, q, cut):
                     kinds.add("edge-node tie")
     assert kinds == {"no path", "node", "edge", "edge-node tie"}
+
+
+def test_copy_graph_adjacency_follows_its_counts():
+    # buy and sell update the counts and the lowlink adjacency alone; after
+    # every step the adjacency must answer as one built afresh from the counts.
+    rng = random.Random(8191)
+    steps = 0
+    for seed in range(12):
+        inst = uniform_box_instance(rng.randint(3, 7), 3.0, seed)
+        table = copy_table(inst)
+        graph = CopyGraph(inst, table)
+        for _ in range(40):
+            bought = sorted(graph.counts)
+            room = [p for p in table.pair_cost if graph.counts.get(p, 0) < table.max_extra[p]]
+            if bought and (not room or rng.random() < 0.4):
+                graph.sell(rng.choice(bought))
+            else:
+                graph.buy(rng.choice(room))
+            fresh = _unit_deficiencies(
+                inst, table.caps(graph.counts), inst.unstable, range(inst.n)
+            )
+            assert graph.first_deficiency() == next(fresh, None)
+            steps += 1
+    assert steps == 480
 
 
 def test_first_deficiency_rejects_fractional_capacity():
@@ -239,8 +330,8 @@ def test_single_chain_cannot_serve_demand_two():
     violations = verify_feasible(inst, sol)
     assert len(violations) == 1
     assert violations[0].achieved == 1
-    # the witness cut isolates the endpoints with a single relay element
-    assert violations[0].cut_nodes or violations[0].cut_edges
+    # the witness cut is the first edge of the chain: 0 reaches nothing past it
+    assert violations[0].witness == Biset(frozenset({0}), frozenset({0}))
 
 
 def test_prune_removes_redundant_relay():

@@ -106,6 +106,12 @@ def test_the_candidate_universe_stores_its_relation_once():
     assert names == ["points", "rows", "truncated"]
 
 
+def test_a_violation_carries_its_biset_alone():
+    # Every caller reads the witness biset; no cut lists ride along with it.
+    names = [f.name for f in dataclasses.fields(connectivity.DemandViolation)]
+    assert names == ["pair", "required", "achieved", "witness"]
+
+
 # Module-level functions that no other function in the package calls, each
 # kept for a reason the package itself cannot show.
 UNCALLED_BY_DESIGN = {
