@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 from .audits import AUDITS
 from .connectivity import tau_star, verify_feasible
 from .errors import RelaysynthError
-from .generators import ExperimentConfig, generate
+from .generators import FIXED_SIZES, ExperimentConfig, generate
 from .instances import Instance, InstanceError, parse_instance, serialize_instance
 from .local_replacement import st_msp_scheme
 from .reporting import RunReport, instance_hash, render_svg
@@ -190,7 +190,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="uniform-box",
         choices=["uniform-box", "pentagon", "square", "collinear", "star"],
     )
-    parser.add_argument("--n", type=int, default=6)
+    parser.add_argument("--n", type=int)
     parser.add_argument("--box", type=float, default=4.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -205,9 +205,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> ExperimentConfig:
+    size = FIXED_SIZES.get(args.family)
+    if args.instance is None and args.n is not None and size not in (None, args.n):
+        raise InstanceError(
+            "%s family has %d terminals, got --n %d" % (args.family, size, args.n)
+        )
     return ExperimentConfig(
         generator=args.family,
-        n=args.n,
+        n=ExperimentConfig.n if args.n is None else args.n,
         box=args.box,
         seed=args.seed,
         algorithm=args.algo,

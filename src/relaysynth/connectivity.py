@@ -36,6 +36,7 @@ Two engines answer that check, and the caller fixes which one runs:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,7 +186,6 @@ def element_maxflow(
     t: int,
     *,
     limit=None,
-    extra_nodes: Iterable[int] = (),
 ):
     """Max flow between terminals where Q-nodes (except s,t) have capacity one.
 
@@ -199,11 +199,7 @@ def element_maxflow(
     """
     if s == t:
         raise ConnectivityError("endpoints must differ")
-    raw_nodes = set(extra_nodes) | {s, t}
-    for (a, b) in edge_caps:
-        raw_nodes.add(a)
-        raw_nodes.add(b)
-    nodes = sorted(raw_nodes)
+    nodes = sorted({s, t}.union(*edge_caps))
     idx = {v: i for i, v in enumerate(nodes)}
     qset = set(qnodes) - {s, t}
 
@@ -266,7 +262,7 @@ def element_maxflow(
 # Feasibility and pruning
 
 
-def _deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolation]:
+def _deficiencies(instance: Instance, caps, q) -> Iterator[DemandViolation]:
     """Unmet demands in order, each with its Menger cut.
 
     One element flow per demand pair, capped at the demand r.  A flow that
@@ -276,7 +272,7 @@ def _deficiencies(instance: Instance, caps, q, nodes) -> Iterator[DemandViolatio
     one, so for r <= 2 the witness has at most one boundary node.
     """
     for (i, j, r) in instance.demand_pairs():
-        flow, biset = element_maxflow(caps, q, i, j, limit=r, extra_nodes=nodes)
+        flow, biset = element_maxflow(caps, q, i, j, limit=r)
         if biset is not None:
             yield DemandViolation((i, j), r, flow, biset)
 
@@ -365,8 +361,8 @@ def _lowlink_deficiencies(demands, adj, q) -> Iterator[DemandViolation]:
 
 
 def _graph_elements(solution: SolutionGraph):
-    """Unit capacities, Q = B union S and the nodes of a solution graph."""
-    return {e: 1 for e in solution.edges}, solution.q_nodes(), range(solution.n_nodes)
+    """Unit capacities and Q = B union S of a solution graph."""
+    return {e: 1 for e in solution.edges}, solution.q_nodes()
 
 
 def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandViolation]:
@@ -381,7 +377,8 @@ def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandV
 
 def is_feasible(instance: Instance, solution: SolutionGraph) -> bool:
     """True iff every demand is met; one lowlink pass over the solution graph."""
-    return next(_unit_deficiencies(instance, *_graph_elements(solution)), None) is None
+    caps, q = _graph_elements(solution)
+    return next(_unit_deficiencies(instance, caps, q, range(solution.n_nodes)), None) is None
 
 
 def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
@@ -409,15 +406,15 @@ def prune_minimal(instance: Instance, solution: SolutionGraph) -> SolutionGraph:
 
 @dataclass(frozen=True)
 class CopyTable:
-    """The k parallel bead copies of every terminal pair, as counts per pair.
+    """The parallel bead copies of every terminal pair, as counts per pair.
 
     A pair within unit distance has one free copy (``base_caps``).  Every
     other copy costs ``pair_cost`` beads (one for the extra copies of a free
-    pair), and at most ``max_extra`` of them can be bought.  A purchase is a
-    count map {pair: copies bought}.
+    pair), and at most ``max_extra`` of them can be bought, so a pair has
+    k = max(1, largest demand) copies in all.  A purchase is a count map
+    {pair: copies bought}.
     """
 
-    k: int
     pair_cost: Dict[Tuple[int, int], int]
     max_extra: Dict[Tuple[int, int], int]
     base_caps: Dict[Tuple[int, int], int]
@@ -457,7 +454,7 @@ def copy_table(instance: Instance) -> CopyTable:
         if k > 1:
             pair_cost[p] = 1
             max_extra[p] = k - 1
-    return CopyTable(k, pair_cost, max_extra, base_caps)
+    return CopyTable(pair_cost, max_extra, base_caps)
 
 
 def crossing_pairs(pairs, cut: Biset) -> List[Tuple[int, int]]:
@@ -480,7 +477,7 @@ def violated_cuts(instance: Instance, caps) -> Iterator[DemandViolation]:
     as Q, so its witness has at most one unstable terminal on the boundary,
     and a cut with boundary b needs ``required - len(b)`` crossing capacity.
     """
-    return _deficiencies(instance, caps, instance.unstable, range(instance.n))
+    return _deficiencies(instance, caps, instance.unstable)
 
 
 class CopyGraph:
@@ -553,17 +550,14 @@ def reverse_delete(instance: Instance, table: CopyTable, counts) -> Dict[Tuple[i
 def round_tau_star(
     instance: Instance, table: CopyTable, tau: TauStarResult
 ) -> Dict[Tuple[int, int], int]:
-    """Buy every non-free copy at x >= 1/2 in tau_star's vertex, complete
-    the purchase with greedy_patch, and reverse-delete it.
+    """Buy floor(y + 1/2) copies of every pair that tau_star's vertex buys
+    y of, complete the purchase with greedy_patch, and reverse-delete it.
 
-    The rounded copies cost at most 2 * tau*, since each costs at most twice
-    its share of the LP value.  No theorem says they meet every demand, so
-    greedy_patch completes them; a purchase it had to patch carries no factor.
+    The rounded copies cost at most 2 * tau*, since floor(y + 1/2) <= 2y for
+    every y >= 1/2.  No theorem says they meet every demand, so greedy_patch
+    completes them; a purchase it had to patch carries no factor.
     """
-    counts: Dict[Tuple[int, int], int] = {}
-    for (a, b, copy), value in tau.x.items():
-        if value >= _HALF and copy >= table.base_caps.get((a, b), 0):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
+    counts = {p: math.floor(y + _HALF) for p, y in tau.bought.items() if y >= _HALF}
     return reverse_delete(instance, table, greedy_patch(instance, table, counts))
 
 
@@ -718,9 +712,7 @@ class FractionalBeadSolution:
         }
 
 
-def half_integral_witness(
-    instance: Instance, solution: SolutionGraph
-) -> FractionalBeadSolution:
+def half_integral_witness(solution: SolutionGraph) -> FractionalBeadSolution:
     """Certificate from a pruned minimal solution: DFS cycles at capacity 1/2.
 
     Each Steiner component must be a tree (anything else means the input was
@@ -780,8 +772,11 @@ def fractional_feasible(
 
 @dataclass(frozen=True)
 class TauStarResult:
+    """tau*, its LP vertex as the capacity ``bought`` per pair beyond the
+    free copies (nonzero entries only), and the LP's work."""
+
     value: Fraction
-    x: Mapping[Tuple[int, int, int], Fraction]
+    bought: Mapping[Tuple[int, int], Fraction]
     cuts: int
     lp_solves: int  # solve calls of the one CoverLP, one per cut round
     pivots: int  # dual simplex pivots over those solves
@@ -794,7 +789,8 @@ def tau_star(instance: Instance) -> TauStarResult:
     (identical LP columns); free copies are fixed at capacity one and moved
     to the right hand side.  Every cut violated_cuts yields becomes a row, up
     to _MAX_CUTS rows.  One CoverLP takes each round's new rows and
-    re-optimizes from the previous round's basis.
+    re-optimizes from the previous round's basis; the last round's
+    solution is the vertex it returns.
     """
     if instance.max_demand == 0:
         return TauStarResult(Fraction(0), {}, 0, 0, 0)
@@ -838,7 +834,8 @@ def tau_star(instance: Instance) -> TauStarResult:
         lp.add_rows(fresh)
         fresh.clear()
         value, y = lp.solve()
-        caps = table.caps({p: yp for p, yp in zip(table.pair_cost, y) if yp})
+        bought = {p: yp for p, yp in zip(table.pair_cost, y) if yp}
+        caps = table.caps(bought)
         progress = False
         violated = False
         for cut in violated_cuts(instance, caps):
@@ -849,13 +846,4 @@ def tau_star(instance: Instance) -> TauStarResult:
             raise ConnectivityError("separation produced no new cut")
         if not progress:
             break
-
-    # Copies fill in order: the free copy first, then the bought capacity.
-    x: Dict[Tuple[int, int, int], Fraction] = {}
-    for p in pairs:
-        left = Fraction(caps.get(p, 0))
-        for copy in range(table.k):
-            take = min(Fraction(1), left)
-            x[p + (copy,)] = take
-            left -= take
-    return TauStarResult(Fraction(value), x, len(seen_rows), lp.solves, lp.pivots)
+    return TauStarResult(Fraction(value), bought, len(seen_rows), lp.solves, lp.pivots)

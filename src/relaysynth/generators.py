@@ -32,6 +32,9 @@ class ExperimentConfig:
     instance_path: Optional[str] = None
 
 
+FIXED_SIZES = {"pentagon": 5, "square": 4, "collinear": 2}  # terminals per fixed family
+
+
 def pentagon_instance() -> Instance:
     """Five terminals on the unit circle, all-pairs demand one."""
     pts = [

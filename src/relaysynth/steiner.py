@@ -399,9 +399,6 @@ def exact_component_oracle(
     # Bead chains along the subset's MST give an always-available fallback.
     mst = mst_pairs(instance, subset)
     ub = sum(cost for cost, _, _ in mst)
-    fallback_points = realize(
-        instance, [BeadEdge(i, j, 0, cost) for cost, i, j in mst]
-    ).points
 
     exact = not universe.truncated
     for size in range(0, min(ub, _MAX_STEINER)):
@@ -417,7 +414,8 @@ def exact_component_oracle(
             return Hyperedge(frozenset(subset), size, witness, exact)
     if ub > _MAX_STEINER:
         exact = False
-    return Hyperedge(frozenset(subset), ub, fallback_points, exact)
+    fallback = realize(instance, [BeadEdge(i, j, 0, cost) for cost, i, j in mst])
+    return Hyperedge(frozenset(subset), ub, fallback.points, exact)
 
 
 class HypergraphError(RelaysynthError, ValueError):

@@ -2,11 +2,12 @@
 
 The exact backend is the branch-and-bound bead optimum (``tau_integral``).
 The primal-dual backend (``sn_backend_primal_dual``, backend key ``"pd"``)
-rounds tau_star's vertex: ``round_tau_star`` buys every copy at x >= 1/2,
-lets ``greedy_patch`` complete the purchase if a demand is still unmet, and
-reverse-deletes.  The exact search starts from the same purchase.  Both
-return a ``BeadSolveResult``, and the pipeline realizes the selection,
-re-verifies it, and reports the cost next to the fractional optimum.
+rounds tau_star's vertex, which buys y copies of each pair: ``round_tau_star``
+buys floor(y + 1/2) of them, lets ``greedy_patch`` complete the purchase if a
+demand is still unmet, and reverse-deletes.  The exact search starts from the
+same purchase.  Both return a ``BeadSolveResult``, and the pipeline realizes
+the selection, re-verifies it, and reports the cost next to the fractional
+optimum.
 
 The rounded copies cost at most 2 * tau*, and ``audit_witness`` checks
 tau* <= Delta * |S| / 2 for feasible placements S, so pd costs at most
@@ -123,7 +124,7 @@ def solve_sn_msp_012(
     witness = None
     if include_witness:
         pruned = prune_minimal(instance, placement.solution)
-        witness = half_integral_witness(instance, pruned)
+        witness = half_integral_witness(pruned)
         violation = fractional_feasible(instance, witness)
         if violation is not None:
             raise ConnectivityError(

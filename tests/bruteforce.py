@@ -111,6 +111,26 @@ def brute_min_purchase(n: int, demands, unstable, bead_cost) -> int:
     raise ValueError("no count map meets every demand")
 
 
+def rounded_by_copies(table, bought) -> Dict[Tuple[int, int], int]:
+    """The copies at x >= 1/2 after spreading each pair's capacity over its
+    copies, counted per pair: the slow form of rounding a vertex at 1/2.
+
+    A pair's capacity is its free copies plus its ``bought`` share; it fills
+    the pair's copies one at a time, the free ones first, each up to one.
+    Only bought copies are counted.
+    """
+    counts: Dict[Tuple[int, int], int] = {}
+    for pair, y in bought.items():
+        free = table.base_caps.get(pair, 0)
+        left = free + y
+        for copy in range(free + table.max_extra[pair]):
+            x = min(1, left)
+            left -= x
+            if copy >= free and 2 * x >= 1:
+                counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
 def max_unit_separated_subset(points, eps: float = 1e-9) -> int:
     """Largest subset of the points with all pairwise distances > 1+eps."""
     import math

@@ -118,9 +118,7 @@ def test_combinatorially_feasible_selection_realizes_feasible():
         for e in res.selected:
             caps[(e.u, e.v)] = caps.get((e.u, e.v), 0) + 1
         for (i, j), r in inst.demands.items():
-            flow, _ = element_maxflow(
-                caps, inst.unstable, i, j, extra_nodes=range(n)
-            )
+            flow, _ = element_maxflow(caps, inst.unstable, i, j)
             assert flow >= r
         # and realizing the selection yields a verified feasible placement
         placement = realize(inst, res.selected)

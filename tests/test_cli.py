@@ -172,6 +172,20 @@ def test_star_family_keeps_its_terminal_count(capsys):
     assert len(json.loads(capsys.readouterr().out)["terminals"]) == 5
 
 
+@pytest.mark.parametrize("family, size", [("pentagon", 5), ("square", 4), ("collinear", 2)])
+def test_fixed_family_refuses_another_terminal_count(capsys, family, size):
+    for command in ("gen", "solve", "sweep"):
+        assert run_cli(command, "--family", family, "--n", "99") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: %s family has %d terminals" % (family, size))
+        assert err.count("\n") == 1
+    for argv in ((), ("--n", str(size))):
+        assert run_cli("gen", "--family", family, *argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["terminals"]) == size
+
+
 @pytest.mark.parametrize("box", ["-1", "0", "nan"])
 def test_box_size_must_be_finite_and_positive(tmp_path, capsys, box):
     assert run_cli("solve", "--box", box, "--n", "3", "--out", str(tmp_path)) == 1

@@ -117,7 +117,7 @@ def test_menger_duality_cut_size_matches_flow():
                     caps[(i, j)] = 1
         q = {v for v in range(n) if rng.random() < 0.4}
         u, v = rng.sample(range(n), 2)
-        flow, biset = element_maxflow(caps, q, u, v, extra_nodes=range(n))
+        flow, biset = element_maxflow(caps, q, u, v)
         crossing = [
             (a, b)
             for (a, b) in caps
@@ -147,10 +147,10 @@ def test_capped_flow_below_limit_equals_uncapped_flow():
         q = {v for v in range(n) if rng.random() < 0.4}
         s, t = rng.sample(range(n), 2)
         r = rng.choice((1, 2))
-        capped = element_maxflow(caps, q, s, t, limit=r, extra_nodes=range(n))
+        capped = element_maxflow(caps, q, s, t, limit=r)
         if capped[0] < r:
             below += 1
-            assert capped == element_maxflow(caps, q, s, t, extra_nodes=range(n))
+            assert capped == element_maxflow(caps, q, s, t)
     assert below >= 100
 
 
@@ -202,9 +202,9 @@ def test_element_flow_cut_matches_networkx():
         q = {v for v in range(n) if rng.random() < 0.4}
         s, t = rng.sample(range(n), 2)
         value, cut = _networkx_cut(caps, q, s, t, range(n))
-        assert element_maxflow(caps, q, s, t, extra_nodes=range(n)) == (value, cut)
+        assert element_maxflow(caps, q, s, t) == (value, cut)
         r = rng.choice((1, 2))
-        flow, biset = element_maxflow(caps, q, s, t, limit=r, extra_nodes=range(n))
+        flow, biset = element_maxflow(caps, q, s, t, limit=r)
         if value >= r:
             reached += 1
             assert flow >= r and biset is None
@@ -263,7 +263,7 @@ def test_unit_deficiencies_match_element_flow():
     for _ in range(400):
         inst, caps, q, nodes = _random_multigraph(rng, rng.randint(2, 8))
         fast = list(_unit_deficiencies(inst, caps, q, nodes))
-        assert fast == list(_deficiencies(inst, caps, q, nodes))
+        assert fast == list(_deficiencies(inst, caps, q))
         for cut in fast:
             if cut.achieved == 0:
                 kinds.add("no path")
@@ -682,7 +682,7 @@ def test_dfs_cycle_rejects_internal_terminal():
 def test_witness_path_relay():
     inst = make_instance([Point.at(0, 0), Point.at(2, 0)], {(0, 1): 1}, E2)
     pruned = prune_minimal(inst, SolutionGraph.build(inst, [Point.at(1, 0)]))
-    witness = half_integral_witness(inst, pruned)
+    witness = half_integral_witness(pruned)
     assert witness.value == 1
     assert sorted((e.cost, e.x) for e in witness.entries) == [
         (1, Fraction(1, 2)),
@@ -696,7 +696,7 @@ def test_witness_terminal_tree_costs_nothing():
     pts = [Point.at(0, 0), Point.at(0.9, 0), Point.at(1.8, 0)]
     inst = make_instance(pts, {(0, 1): 1, (1, 2): 1}, E2)
     pruned = prune_minimal(inst, SolutionGraph.build(inst))
-    witness = half_integral_witness(inst, pruned)
+    witness = half_integral_witness(pruned)
     assert witness.value == 0
     assert all(e.x == 1 for e in witness.entries)
     assert fractional_feasible(inst, witness) is None
@@ -707,7 +707,7 @@ def test_witness_pentagon_star_attains_packing_budget():
     sol = SolutionGraph.build(inst, [Point.at(0, 0)])
     pruned = prune_minimal(inst, sol)
     assert len(pruned.steiner) == 1
-    witness = half_integral_witness(inst, pruned)
+    witness = half_integral_witness(pruned)
     assert witness.value == Fraction(5, 2)  # exactly delta * |S| / 2
     assert fractional_feasible(inst, witness) is None
 
@@ -718,7 +718,7 @@ def test_witness_rejects_non_tree_component():
         inst, [Point.at(0.9, 0.2), Point.at(0.9, -0.2)]
     )  # both relays see both terminals and each other: a relay cycle
     with pytest.raises(NonTreeComponentError):
-        half_integral_witness(inst, sol)
+        half_integral_witness(sol)
 
 
 def test_fractional_feasible_accepts_integral_solution():
@@ -855,10 +855,8 @@ def test_tau_star_solution_is_separation_clean():
     inst = pentagon_instance()
     res = tau_star(inst)
     assert res.value == Fraction(5, 2)
-    # every pentagon pair needs one bead, so each positive copy has cost 1
-    entries = tuple(
-        WitnessEdge(i, j, c, 1, x) for (i, j, c), x in res.x.items() if x
-    )
+    # every pentagon pair needs one bead and has k = 1 copy, of cost 1
+    entries = tuple(WitnessEdge(i, j, 0, 1, x) for (i, j), x in res.bought.items())
     assert fractional_feasible(inst, FractionalBeadSolution(entries)) is None
 
 

@@ -35,7 +35,7 @@ def test_no_module_imports_a_private_name_from_another():
 RETIRED_PARAMETERS = {
     "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
     "max_steiner", "r_cap", "time_cap", "strict", "ks", "opt", "abstract",
-    "hypergraph_budget", "grid_resolution",
+    "hypergraph_budget", "grid_resolution", "extra_nodes",
 }
 # Keyword pass-throughs that only ever forwarded nothing.
 RETIRED_PASS_THROUGHS = {"caps", "backend_caps"}
@@ -87,6 +87,18 @@ def test_unit_disk_tolerance_is_read_in_two_modules_only():
 def test_the_copy_table_decides_k():
     # k = max(1, largest demand) is derived from the instance alone.
     assert list(inspect.signature(connectivity.copy_table).parameters) == ["instance"]
+
+
+def test_the_copy_table_keeps_k_in_its_bounds_alone():
+    # A pair's copy count is its free copies plus max_extra; no field repeats it.
+    names = [f.name for f in dataclasses.fields(connectivity.CopyTable)]
+    assert names == ["pair_cost", "max_extra", "base_caps"]
+
+
+def test_tau_star_returns_its_vertex_per_pair():
+    # The LP's own column per pair, not a per-copy expansion of it.
+    names = [f.name for f in dataclasses.fields(connectivity.TauStarResult)]
+    assert names == ["value", "bought", "cuts", "lp_solves", "pivots"]
 
 
 def test_no_module_defines_a_twin_result_type():

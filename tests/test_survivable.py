@@ -1,16 +1,19 @@
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from bruteforce import rounded_by_copies
 from relaysynth import connectivity
 from relaysynth.audits import random_survivable_instance
 from relaysynth.beads import realize, tau_integral
 from relaysynth.connectivity import (
     ConnectivityError,
     CopyGraph,
+    CopyTable,
     TauStarResult,
     copy_table,
     greedy_patch,
@@ -149,13 +152,41 @@ def test_primal_dual_selection_is_minimal():
     assert bought >= 100
 
 
-def _rounded_vertex(table, tau):
-    """The non-free copies at x >= 1/2 in tau_star's vertex, counted per pair."""
-    counts = {}
-    for (a, b, copy), value in tau.x.items():
-        if value >= Fraction(1, 2) and copy >= table.base_caps.get((a, b), 0):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
+def test_rounding_per_pair_matches_rounding_per_copy(monkeypatch):
+    # With the completion and the reverse delete passed through,
+    # round_tau_star returns the rounded vertex itself.  On seeded vectors of
+    # Fractions it must buy what the per-copy reference buys, half-integers
+    # and free pairs included.
+    def passed(instance, table, counts):
+        return counts
+
+    monkeypatch.setattr(connectivity, "greedy_patch", passed)
+    monkeypatch.setattr(connectivity, "reverse_delete", passed)
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        pair_cost, max_extra, base_caps = {}, {}, {}
+        for pair in itertools.combinations(range(4), 2):
+            if rng.random() < 0.4:
+                base_caps[pair] = 1
+                if k > 1:
+                    pair_cost[pair], max_extra[pair] = 1, k - 1
+            else:
+                pair_cost[pair], max_extra[pair] = rng.randint(1, 3), k
+        table = CopyTable(pair_cost, max_extra, base_caps)
+        bought = {}
+        for pair, top in max_extra.items():
+            denominator = rng.choice((2, 2, 3, 6))
+            y = Fraction(rng.randint(0, denominator * top), denominator)
+            seen.add((pair in base_caps, k, y))
+            if y:
+                bought[pair] = y
+        vertex = TauStarResult(Fraction(0), bought, 0, 0, 0)
+        assert round_tau_star(None, table, vertex) == rounded_by_copies(table, bought)
+    halves = {Fraction(h, 2) for h in range(6)}
+    assert halves <= {y for free, _, y in seen if not free}
+    assert {(True, 2, Fraction(1, 2)), (True, 2, Fraction(1))} <= seen
 
 
 def test_rounded_vertex_costs_at_most_twice_tau_star(monkeypatch):
@@ -184,7 +215,7 @@ def test_rounded_vertex_costs_at_most_twice_tau_star(monkeypatch):
         handed.clear()
         res = sn_backend_primal_dual(inst)
         assert res.lower_bound == tau.value
-        assert handed == [_rounded_vertex(table, tau)]
+        assert handed == [rounded_by_copies(table, tau.bought)]
         assert table.cost(handed[0]) <= 2 * tau.value
         if CopyGraph(inst, table, handed[0]).first_deficiency() is None:
             unpatched += 1
@@ -213,9 +244,9 @@ def test_round_tau_star_completes_a_vertex_below_one_half():
     box = uniform_box_instance(8, 4.0, 0, "random")
     for inst, expected in ((two, {(0, 1): 2}), (box, None)):
         table = copy_table(inst)
-        below = {key: Fraction(1, 3) for key in tau_star(inst).x}
+        below = {pair: Fraction(1, 3) for pair in table.pair_cost}
         vertex = TauStarResult(Fraction(0), below, 0, 0, 0)
-        assert _rounded_vertex(table, vertex) == {}
+        assert rounded_by_copies(table, below) == {}
         counts = round_tau_star(inst, table, vertex)
         assert counts
         assert _is_minimal_cover(inst, table, counts)
