@@ -41,7 +41,6 @@ from .steiner import (
     Hyperedge,
     Hypergraph,
     SchemeConfig,
-    brute_force_opt,
     build_component_hypergraph,
     exact_component_oracle,
     mst_baseline,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -23,12 +24,8 @@ from .generators import FIXED_SIZES, ExperimentConfig, generate
 from .instances import Instance, InstanceError, parse_instance, serialize_instance
 from .local_replacement import st_msp_scheme
 from .reporting import RunReport, instance_hash, render_svg
-from .steiner import OracleBudgetError, SchemeConfig, brute_force_opt, mst_baseline
+from .steiner import SchemeConfig, mst_baseline
 from .survivable import solve_sn_msp_012
-
-_OPT_TERMINAL_CAP = 5  # brute-force reference only for tiny instances
-_OPT_SIZE_CAP = 4  # and only when the solver's answer is already this small
-
 
 def _fmt(value) -> Optional[str]:
     if value is None:
@@ -36,21 +33,6 @@ def _fmt(value) -> Optional[str]:
     if isinstance(value, Fraction):
         return str(value)
     return value
-
-
-def _maybe_opt(instance: Instance, upper: int) -> Optional[int]:
-    if instance.n > _OPT_TERMINAL_CAP or upper > _OPT_SIZE_CAP:
-        return None
-    if instance.metric.kind == "euclidean" and instance.metric.dim != 2:
-        return None  # the candidate universe is planar only
-    config = SchemeConfig(
-        k=2, candidate_depth=1, max_candidates=200, state_cap=5000
-    )
-    try:
-        opt, _ = brute_force_opt(instance, upper, config)
-        return opt
-    except OracleBudgetError:
-        return None
 
 
 def _solve_one(
@@ -94,7 +76,15 @@ def _solve_one(
         tau_star_value = tau_star(instance).value
 
     feasible = not verify_feasible(instance, solution)
-    opt = _maybe_opt(instance, cost)
+    # tau* <= (delta / 2) * opt bounds every placement, so a placed count at
+    # ceil(2 tau* / delta) is optimal; no other row claims an optimum.
+    opt = None
+    n_steiner = len(solution.steiner)
+    if (
+        tau_star_value is not None
+        and n_steiner == math.ceil(2 * tau_star_value / instance.metric.delta)
+    ):
+        opt = n_steiner
     row = {
         "index": index,
         "instance_hash": instance_hash(instance),
@@ -103,7 +93,7 @@ def _solve_one(
         "algorithm": config.algorithm,
         "k": config.k if config.algorithm == "scheme" else None,
         "backend": config.backend if config.algorithm == "sn012" else None,
-        "n_steiner": len(solution.steiner),
+        "n_steiner": n_steiner,
         "cost": cost,
         "tau_star": _fmt(tau_star_value),
         "tau_integral": tau_integral_value,
@@ -190,12 +180,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="uniform-box",
         choices=["uniform-box", "pentagon", "square", "collinear", "star"],
     )
+    # Generator options default to None so that a fixed family can refuse
+    # them; _config_from fills in ExperimentConfig's defaults.
     parser.add_argument("--n", type=int)
-    parser.add_argument("--box", type=float, default=4.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--demands", default="random", choices=["random", "all-1", "all-2"]
-    )
+    parser.add_argument("--box", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--demands", choices=["random", "all-1", "all-2"])
     parser.add_argument("--algo", default="sn012", choices=["mst", "scheme", "sn012"])
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--backend", default="exact", choices=["exact", "pd"])
@@ -206,22 +196,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _config_from(args) -> ExperimentConfig:
     size = FIXED_SIZES.get(args.family)
-    if args.instance is None and args.n is not None and size not in (None, args.n):
-        raise InstanceError(
-            "%s family has %d terminals, got --n %d" % (args.family, size, args.n)
-        )
+    n = args.n
+    if args.instance is None and size is not None:
+        if n not in (None, size):
+            raise InstanceError("%s family has %d terminals, got --n %d" % (args.family, size, n))
+        for option in ("box", "seed", "demands"):
+            if getattr(args, option) is not None:
+                raise InstanceError("%s family is fixed and takes no --%s" % (args.family, option))
+        n = size
+    given = {"n": n, "box": args.box, "seed": args.seed, "demand_profile": args.demands}
     return ExperimentConfig(
         generator=args.family,
-        n=ExperimentConfig.n if args.n is None else args.n,
-        box=args.box,
-        seed=args.seed,
         algorithm=args.algo,
         k=args.k,
         backend=args.backend,
-        demand_profile=args.demands,
         trials=args.trials,
         svg=args.svg,
         instance_path=args.instance,
+        **{key: value for key, value in given.items() if value is not None},
     )
 
 

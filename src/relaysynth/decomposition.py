@@ -287,15 +287,12 @@ def proper_mapping(tree: CostedRootedTree) -> Dict[int, int]:
 class TreePiece:
     root: int
     edges: Tuple[Tuple[int, int], ...]  # (parent, child)
-    terminal_leaves: Tuple[int, ...]
-    boundary_leaves: Tuple[int, ...]
     hyperedge: FrozenSet[int]  # terminal leaves plus mapped images of boundaries
 
 
 @dataclass(frozen=True)
 class LevelCutPartition:
     pieces: Tuple[TreePiece, ...]
-    offset: int
     span: int  # floor(lg p)
     connecting_paths: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
     path_cost_total: object
@@ -369,9 +366,7 @@ def level_cut_partition(
             path = tuple(tree.path_to_ancestor(mapping[w], w))
             paths.append((w, path))
             total_path_cost += sum(tree.up_cost[c] for _, c in path)
-        pieces.append(
-            TreePiece(rt, tuple(edges), term_leaves, boundary, frozenset(hyper))
-        )
+        pieces.append(TreePiece(rt, tuple(edges), frozenset(hyper)))
 
     # Structural re-checks: exact edge partition, rank, count and cost of paths.
     covered = [e for piece in pieces for e in piece.edges]
@@ -386,9 +381,7 @@ def level_cut_partition(
         raise DecompositionError("connecting paths exceed the cost budget")
     if hyperedge_classes([piece.hyperedge for piece in pieces], tree.terminals) > 1:
         raise DecompositionError("hyperedges do not connect the terminal set")
-    return LevelCutPartition(
-        tuple(pieces), best_offset, span, tuple(paths), total_path_cost
-    )
+    return LevelCutPartition(tuple(pieces), span, tuple(paths), total_path_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ class Instance:
         }
         worst = max(map(float, dist.values()))
         if worst > cap:
-            raise InstanceError("max terminal distance %.4f exceeds cap %.1f" % (worst, cap))
+            raise InstanceError("max terminal distance %.6g exceeds cap %.1f" % (worst, cap))
         object.__setattr__(self, "bead_costs", {p: bead_count(d) for p, d in dist.items()})
 
     @property

@@ -83,7 +83,6 @@ class TraceStep:
     step: int
     chosen: Tuple[int, ...]
     hyperedge_cost: object
-    removed: Tuple[Tuple[int, int, object], ...]
     removed_cost: object
     remaining_cost: object
 
@@ -196,11 +195,9 @@ def local_replacement(
             # Drop exactly the overlapped copies, respecting multiplicity.
             remaining = list(best_drop)
             new_live = []
-            removed = []
             for u, v, c, eid in live:
                 if (u, v, c) in remaining:
                     remaining.remove((u, v, c))
-                    removed.append((u, v, c))
                 else:
                     new_live.append((u, v, c, eid))
             anchor = min(edge.nodes)
@@ -217,7 +214,6 @@ def local_replacement(
                     step,
                     tuple(sorted(edge.nodes)),
                     edge.cost,
-                    tuple(removed),
                     gain,
                     sum(c for _, _, c, _ in live),
                 )

@@ -8,10 +8,12 @@ optimal relays are known to lie among the candidates.
 
 The universe stores its unit-disk relation once, as one Python-int bitmask
 row per point; a planar universe computes each row on its first read, so a
-solve computes only the rows its search reads.  The search grows its set of
-touched points by OR-ing rows.  The oracle tests its leaves against a
-per-frame component mask: a frame whose children are leaves finds the
-components of its set once, and each leaf is then one bit test.
+solve computes only the rows its search reads.  The search has one mode:
+connectivity-pruned sets without repeats.  It grows its set of touched
+points by OR-ing rows, and a frame whose children are leaves finds the
+components of its set once, so each leaf is one bit test.  The brute-force
+optimum of a whole instance is a test oracle (``tests/bruteforce.py``), not
+a solver.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .connectivity import (
     ConnectivityError,
     UnionFind,
     hyperedge_classes,
-    is_feasible,
     verify_feasible,
 )
 from .errors import RelaysynthError
@@ -318,29 +319,21 @@ def _joining_children(rows: Sequence[int], nodes: List[int], targets: List[int])
 
 
 def _deepening_search(
-    universe: CandidateUniverse,
-    targets: List[int],
-    size: int,
-    state_cap: int,
-    accept: Optional[Callable[[Tuple[int, ...]], bool]],
-    with_duplicates: bool,
+    universe: CandidateUniverse, targets: List[int], size: int, state_cap: int
 ):
-    """DFS over candidate (multi)sets of the given size, connectivity-pruned.
+    """DFS over candidate sets of the given size, connectivity-pruned, for
+    one that connects the targets.
 
     Every chosen point must touch a target or an earlier choice, which is
-    complete for inclusion-minimal relay sets.  Children are tried in
-    ascending point order, and each state counts once against the cap.
-
-    A full-size set is accepted when ``accept`` holds on it or, when
-    ``accept`` is None, when it connects the targets: a frame whose children
-    are full-size computes which children join the targets once
-    (``_joining_children``), and each child is then one bit test.
+    complete for inclusion-minimal relay sets; no point is chosen twice.
+    Children are tried in ascending point order, and each state counts once
+    against the cap.  A frame whose children are full-size computes which
+    children join the targets once (``_joining_children``), and each child
+    is then one bit test.
     """
     rows = universe.rows
     if size == 0:
-        if accept(()) if accept else _joining_children(rows, targets, targets) == -1:
-            return ()
-        return None
+        return () if _joining_children(rows, targets, targets) == -1 else None
     reach = 0
     for t in targets:
         reach |= rows[t]
@@ -355,13 +348,13 @@ def _deepening_search(
     while stack:
         chosen, reach, untried = stack.pop()
         leaves = len(chosen) == size - 1
-        if leaves and accept is None:
+        if leaves:
             joins = _joining_children(rows, targets + list(chosen), targets)
         while untried:
             low = untried & -untried
             untried ^= low
             c = low.bit_length() - 1
-            if not with_duplicates and c in chosen:
+            if c in chosen:
                 continue
             nxt = tuple(sorted(chosen + (c,)))
             if nxt in seen:
@@ -375,7 +368,7 @@ def _deepening_search(
                 stack.append((chosen, reach, untried))
                 stack.append((nxt, grown, grown))
                 break
-            if accept(nxt) if accept else joins >> c & 1:
+            if joins >> c & 1:
                 return nxt
     return None
 
@@ -403,9 +396,7 @@ def exact_component_oracle(
     exact = not universe.truncated
     for size in range(0, min(ub, _MAX_STEINER)):
         try:
-            hit = _deepening_search(
-                universe, subset, size, config.state_cap, None, False
-            )
+            hit = _deepening_search(universe, subset, size, config.state_cap)
         except OracleBudgetError:
             exact = False
             break
@@ -519,35 +510,3 @@ def build_component_hypergraph(
             ):
                 table[sub] = Hyperedge(sub, entry.cost, entry.witness, entry.exact)
     return Hypergraph(tuple(range(n)), tuple(table.values()))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force optimum for tiny instances
-
-
-def brute_force_opt(
-    instance: Instance,
-    max_s: int,
-    config: Optional[SchemeConfig] = None,
-) -> Tuple[int, Tuple[Point, ...]]:
-    """Smallest relay multiset (duplicates allowed) meeting every demand.
-
-    Exhausts the candidate universe by iterative deepening; raises
-    OracleBudgetError when max_s is exhausted.
-    """
-    config = config or SchemeConfig()
-    universe = build_candidate_universe(instance, config)
-    term_ids = list(range(instance.n))
-
-    def accept(chosen):
-        pts = [universe.points[c] for c in chosen]
-        sol = SolutionGraph.build(instance, pts)
-        return is_feasible(instance, sol)
-
-    for size in range(0, max_s + 1):
-        hit = _deepening_search(
-            universe, term_ids, size, config.state_cap, accept, True
-        )
-        if hit is not None:
-            return size, tuple(universe.points[c] for c in hit)
-    raise OracleBudgetError("infeasible within budget (max_s=%d)" % max_s)

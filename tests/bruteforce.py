@@ -1,5 +1,11 @@
 """Independent oracles used by the tests; no imports from the solver paths
-they check beyond plain data types."""
+they check beyond plain data types.
+
+Two exceptions: ``deepening_search`` replays the component oracle's search
+order with a predicate per full-size set in place of its component masks,
+and ``brute_force_opt``, a whole-instance optimum built on it, reads the
+solver's own candidate universe and feasibility check.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,9 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from relaysynth.connectivity import UnionFind
+from relaysynth.connectivity import UnionFind, is_feasible
+from relaysynth.instances import SolutionGraph
+from relaysynth.steiner import OracleBudgetError, SchemeConfig, build_candidate_universe
 
 
 def enumerate_simple_paths(edges, u: int, v: int) -> List[Tuple[int, ...]]:
@@ -270,3 +278,75 @@ def reference_universe(terminals, depth: int, cap: int, eps: float):
     adj = np.sqrt((diff * diff).sum(axis=2)) <= 1.0 + eps
     np.fill_diagonal(adj, False)
     return coords, adj, truncated, origin
+
+
+def deepening_search(rows, targets, size: int, state_cap: int, accept, with_duplicates: bool):
+    """The component oracle's search order, with ``accept`` tested on every
+    full-size (multi)set in place of its component masks.
+
+    A DFS over (multi)sets of the given size: every chosen point touches a
+    target or an earlier choice, children come in ascending point order, a
+    point repeats only ``with_duplicates``, and each distinct sorted tuple
+    counts once against ``state_cap`` (the empty one included), past which
+    it raises OracleBudgetError.  Returns the first accepted tuple or None.
+    """
+    if size == 0:
+        return () if accept(()) else None
+    seen = set()
+    states = 1  # the empty choice
+    if states > state_cap:
+        raise OracleBudgetError("state cap exceeded")
+
+    def grow(chosen, reach):
+        nonlocal states
+        untried = reach
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            c = low.bit_length() - 1
+            if not with_duplicates and c in chosen:
+                continue
+            nxt = tuple(sorted(chosen + (c,)))
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            states += 1
+            if states > state_cap:
+                raise OracleBudgetError("state cap exceeded")
+            if len(nxt) < size:
+                hit = grow(nxt, reach | rows[c])
+            else:
+                hit = nxt if accept(nxt) else None
+            if hit is not None:
+                return hit
+        return None
+
+    reach = 0
+    for t in targets:
+        reach |= rows[t]
+    return grow((), reach)
+
+
+def brute_force_opt(instance, max_s: int, config=None):
+    """Smallest relay multiset (duplicates allowed) over the candidate
+    universe that meets every demand, as (size, points).
+
+    Iterative deepening on the size with ``deepening_search`` from the
+    terminals, each full-size multiset checked by ``is_feasible`` on
+    ``SolutionGraph.build``; raises OracleBudgetError when a size runs past
+    ``config.state_cap`` or no size up to max_s is feasible.
+    """
+    config = config or SchemeConfig()
+    universe = build_candidate_universe(instance, config)
+
+    def feasible(chosen):
+        points = [universe.points[c] for c in chosen]
+        return is_feasible(instance, SolutionGraph.build(instance, points))
+
+    for size in range(0, max_s + 1):
+        hit = deepening_search(
+            universe.rows, list(range(instance.n)), size, config.state_cap, feasible, True
+        )
+        if hit is not None:
+            return size, tuple(universe.points[c] for c in hit)
+    raise OracleBudgetError("infeasible within budget (max_s=%d)" % max_s)

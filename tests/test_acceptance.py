@@ -33,10 +33,10 @@ from relaysynth.instances import (
     make_instance,
 )
 from relaysynth.local_replacement import st_msp_scheme
-from relaysynth.steiner import SchemeConfig, brute_force_opt, mst_baseline
+from relaysynth.steiner import SchemeConfig, mst_baseline
 from relaysynth.survivable import degree_reduce, solve_sn_msp_012
 
-from bruteforce import brute_q_connectivity, edge_multiplicities
+from bruteforce import brute_force_opt, brute_q_connectivity, edge_multiplicities
 
 DELTA_PLANE = 5
 

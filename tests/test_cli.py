@@ -10,16 +10,18 @@ import pytest
 
 import relaysynth.cli
 import relaysynth.steiner
+from bruteforce import brute_force_opt
 from relaysynth.beads import BeadError, SizeCapError
-from relaysynth.cli import main
+from relaysynth.cli import _solve_one, main
 from relaysynth.connectivity import ConnectivityError, NonTreeComponentError
 from relaysynth.decomposition import DecompositionError
 from relaysynth.errors import RelaysynthError
+from relaysynth.generators import ExperimentConfig, uniform_box_instance
 from relaysynth.instances import InstanceError
 from relaysynth.local_replacement import HypergraphError
 from relaysynth.reporting import CSV_COLUMNS
 from relaysynth.simplex import CoverLP, CoverRow, SimplexError
-from relaysynth.steiner import OracleBudgetError
+from relaysynth.steiner import OracleBudgetError, SchemeConfig
 
 
 def run_cli(*argv):
@@ -106,7 +108,7 @@ def test_solve_from_instance_file(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((out / "report.json").read_text())
     assert report["rows"][0]["cost"] == 4
-    assert report["rows"][0]["opt"] == 4
+    assert report["rows"][0]["opt"] is None
 
 
 def test_sweep_emits_ordered_rows(tmp_path, capsys):
@@ -186,6 +188,33 @@ def test_fixed_family_refuses_another_terminal_count(capsys, family, size):
         assert len(json.loads(capsys.readouterr().out)["terminals"]) == size
 
 
+@pytest.mark.parametrize("family, size", [("pentagon", 5), ("square", 4), ("collinear", 2)])
+def test_fixed_family_reports_its_terminal_count(tmp_path, capsys, family, size):
+    assert run_cli("solve", "--family", family, "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["n"] == size
+    assert report["rows"][0]["n_terminals"] == size
+
+
+@pytest.mark.parametrize("option, value", [("--box", "-3"), ("--seed", "5"), ("--demands", "all-2")])
+@pytest.mark.parametrize("family", ["pentagon", "square", "collinear"])
+def test_fixed_family_refuses_generator_options(capsys, family, option, value):
+    for command in ("gen", "solve", "sweep"):
+        assert run_cli(command, "--family", family, option, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s family is fixed and takes no %s\n" % (family, option)
+
+
+def test_distance_cap_error_is_one_short_line(tmp_path, capsys):
+    assert run_cli("solve", "--box", "1e308", "--n", "3", "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: max terminal distance ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
 @pytest.mark.parametrize("box", ["-1", "0", "nan"])
 def test_box_size_must_be_finite_and_positive(tmp_path, capsys, box):
     assert run_cli("solve", "--box", box, "--n", "3", "--out", str(tmp_path)) == 1
@@ -236,6 +265,33 @@ def test_malformed_instance_json_exits_one(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+def test_reported_opt_is_the_brute_force_optimum():
+    # ceil(2 tau* / delta) is at most the optimum, here the brute force over
+    # a candidate universe, and a row reports opt only where its placed
+    # count meets that bound, so every reported opt is the brute force's.
+    small = SchemeConfig(k=2, candidate_depth=1, max_candidates=200, state_cap=5000)
+    config = ExperimentConfig(algorithm="sn012", backend="exact")
+    compared = reported = 0
+    for n in (3, 4, 5):
+        for profile in ("all-1", "all-2", "random"):
+            for seed in range(3):
+                inst = uniform_box_instance(n, 3.0, seed, profile)
+                row, _, feasible = _solve_one(inst, config, 0)
+                assert feasible
+                bound = math.ceil(2 * Fraction(row["tau_star"]) / inst.metric.delta)
+                try:
+                    opt, _ = brute_force_opt(inst, min(row["n_steiner"], 4), small)
+                except OracleBudgetError:
+                    opt = None  # none of at most 4 relays found within the cap
+                if opt is not None:
+                    assert bound <= opt, (n, profile, seed)
+                    compared += 1
+                if row["opt"] is not None:
+                    assert row["opt"] == row["n_steiner"] == bound == opt, (n, profile, seed)
+                    reported += 1
+    assert compared >= 15 and reported >= 5, (compared, reported)
+
+
 def _write_instance(tmp_path, metric, terminals):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(
@@ -245,7 +301,7 @@ def _write_instance(tmp_path, metric, terminals):
 
 
 def test_solve_three_dimensional_instance(tmp_path, capsys):
-    # The brute-force reference is planar only, so opt is left empty.
+    # ceil(2 tau* / delta) = ceil(4 / 11) = 1 < 2 relays, so no optimum is proven.
     path = _write_instance(
         tmp_path, {"type": "euclidean", "dim": 3}, [[0, 0, 0], [2.5, 0, 0]]
     )

@@ -35,7 +35,7 @@ def test_no_module_imports_a_private_name_from_another():
 RETIRED_PARAMETERS = {
     "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
     "max_steiner", "r_cap", "time_cap", "strict", "ks", "opt", "abstract",
-    "hypergraph_budget", "grid_resolution", "extra_nodes",
+    "hypergraph_budget", "grid_resolution", "extra_nodes", "accept", "with_duplicates",
 }
 # Keyword pass-throughs that only ever forwarded nothing.
 RETIRED_PASS_THROUGHS = {"caps", "backend_caps"}

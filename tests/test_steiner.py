@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bruteforce import connects_by_bit_bfs, connects_by_union_find, reference_universe
+from bruteforce import (
+    brute_force_opt,
+    connects_by_bit_bfs,
+    connects_by_union_find,
+    deepening_search,
+    reference_universe,
+)
 from relaysynth import steiner
 from relaysynth.connectivity import is_feasible
 from relaysynth.generators import uniform_box_instance
@@ -21,7 +27,6 @@ from relaysynth.instances import (
 from relaysynth.steiner import (
     OracleBudgetError,
     SchemeConfig,
-    brute_force_opt,
     build_candidate_universe,
     build_component_hypergraph,
     exact_component_oracle,
@@ -437,9 +442,16 @@ def test_joining_children_match_a_bit_bfs_per_child():
     assert min(terminal_children.values()) >= 100, terminal_children
 
 
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except OracleBudgetError:
+        return "budget"
+
+
 def test_the_search_accepts_what_a_bit_bfs_accepts():
-    # The mask-tested search and the same search with a BFS per leaf find the
-    # same set, or run out of states at the same count.
+    # The mask-tested search and the reference search with a BFS per leaf
+    # find the same set, or run out of states at the same count.
     for seed in range(6):
         rng = random.Random(seed)
         inst = uniform_box_instance(5, 3.0, seed, "all-1")
@@ -452,15 +464,9 @@ def test_the_search_accepts_what_a_bit_bfs_accepts():
                 return connects_by_bit_bfs(rows, subset + list(chosen), subset)
 
             for size in range(4):
-                results = []
-                for accept in (None, by_bfs):
-                    try:
-                        results.append(steiner._deepening_search(
-                            universe, subset, size, 3000, accept, False
-                        ))
-                    except OracleBudgetError:
-                        results.append("budget")
-                assert results[0] == results[1], (seed, subset, size)
+                masked = _outcome(steiner._deepening_search, universe, subset, size, 3000)
+                bfs = _outcome(deepening_search, rows, subset, size, 3000, by_bfs, False)
+                assert masked == bfs, (seed, subset, size)
 
 
 @pytest.mark.parametrize(
