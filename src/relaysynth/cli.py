@@ -27,6 +27,9 @@ from .reporting import RunReport, instance_hash, render_svg
 from .steiner import SchemeConfig, mst_baseline
 from .survivable import solve_sn_msp_012
 
+_TAU_STAR_TERMINALS = 12  # terminals up to which mst and scheme rows get tau_star
+
+
 def _fmt(value) -> Optional[str]:
     if value is None:
         return None
@@ -72,7 +75,7 @@ def _solve_one(
     else:
         raise InstanceError("unknown algorithm %r" % (config.algorithm,))
 
-    if tau_star_value is None and instance.n <= 12:
+    if tau_star_value is None and instance.n <= _TAU_STAR_TERMINALS:
         tau_star_value = tau_star(instance).value
 
     feasible = not verify_feasible(instance, solution)
@@ -204,6 +207,10 @@ def _config_from(args) -> ExperimentConfig:
             if getattr(args, option) is not None:
                 raise InstanceError("%s family is fixed and takes no --%s" % (args.family, option))
         n = size
+    elif args.instance is None and args.family == "star":
+        for option in ("box", "demands"):
+            if getattr(args, option) is not None:
+                raise InstanceError("star family takes no --%s" % option)
     given = {"n": n, "box": args.box, "seed": args.seed, "demand_profile": args.demands}
     return ExperimentConfig(
         generator=args.family,

@@ -4,7 +4,8 @@ The small-set oracle searches a shared candidate universe (terminal positions,
 unit-circle intersections, bead points) by iterative deepening on the number
 of relay points.  It is exact over that universe; the universe itself is
 heuristically complete, so its costs are upper bounds, exact only where the
-optimal relays are known to lie among the candidates.
+optimal relays are known to lie among the candidates.  The universe and the
+search have constant bounds; ``SchemeConfig``'s k is the scheme's one setting.
 
 The universe stores its unit-disk relation once, as one Python-int bitmask
 row per point; a planar universe computes each row on its first read, so a
@@ -46,6 +47,9 @@ from .instances import (
 
 _MAX_STEINER = 12  # relay-count bound of the component oracle's deepening
 _HYPERGRAPH_BUDGET = 2000  # subset count bound of build_component_hypergraph
+_CANDIDATE_DEPTH = 2  # layers of unit-circle intersections in the universe
+_MAX_CANDIDATES = 1500  # point count bound of the candidate universe
+_STATE_CAP = 400_000  # states per size of the component oracle's search
 
 
 class OracleBudgetError(RelaysynthError, RuntimeError):
@@ -54,12 +58,9 @@ class OracleBudgetError(RelaysynthError, RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Knobs for the component oracle and the spanning scheme."""
+    """The spanning scheme's one setting: the component size cap k."""
 
     k: int = 5
-    candidate_depth: int = 2
-    max_candidates: int = 1500
-    state_cap: int = 400_000
 
     def __post_init__(self):
         if self.k < 2:
@@ -180,12 +181,9 @@ def _bead_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.ceil(d - EPS_GEO).astype(int) - 1, 0)
 
 
-def _candidate_coords(
-    instance: Instance, config: SchemeConfig
-) -> Tuple[List[Tuple[float, float]], bool]:
+def _candidate_coords(instance: Instance) -> Tuple[List[Tuple[float, float]], bool]:
     """Deduplicated planar candidates, terminals first, and whether the
-    ``max_candidates`` cap cut them short."""
-    cap = config.max_candidates
+    ``_MAX_CANDIDATES`` cap cut them short."""
     truncated = False
     coords: List[Tuple[float, float]] = []
     seen: Set[Tuple[float, ...]] = set()
@@ -197,7 +195,7 @@ def _candidate_coords(
             for key, xy in zip(coord_keys(chunk), chunk.tolist()):
                 if key in seen:
                     continue
-                if len(coords) >= cap:
+                if len(coords) >= _MAX_CANDIDATES:
                     truncated = True
                     return
                 seen.add(key)
@@ -208,8 +206,8 @@ def _candidate_coords(
     seen.update(coord_keys(terminal_coords))
     coords.extend((float(x), float(y)) for x, y in terminal_coords)
 
-    # Unit-circle intersections, layered up to the configured depth.
-    for _ in range(config.candidate_depth):
+    # Unit-circle intersections, layered up to _CANDIDATE_DEPTH.
+    for _ in range(_CANDIDATE_DEPTH):
         if len(coords) < 2:
             break
         a, b = _pairs(np.asarray(coords, dtype=float))
@@ -255,9 +253,7 @@ def _candidate_coords(
     return coords, truncated
 
 
-def build_candidate_universe(
-    instance: Instance, config: SchemeConfig
-) -> CandidateUniverse:
+def build_candidate_universe(instance: Instance) -> CandidateUniverse:
     metric = instance.metric
     if metric.kind == "finite":
         term_ids = [p.index for p in instance.terminals]
@@ -269,7 +265,7 @@ def build_candidate_universe(
     if metric.dim != 2:
         raise InstanceError("the geometric oracle only supports the plane")
 
-    coords, truncated = _candidate_coords(instance, config)
+    coords, truncated = _candidate_coords(instance)
     rows = _UnitDiskRows(np.array(coords, dtype=float).reshape(-1, 2))
     return CandidateUniverse(tuple(Point.at(*c) for c in coords), rows, truncated)
 
@@ -318,18 +314,16 @@ def _joining_children(rows: Sequence[int], nodes: List[int], targets: List[int])
     return joins
 
 
-def _deepening_search(
-    universe: CandidateUniverse, targets: List[int], size: int, state_cap: int
-):
+def _deepening_search(universe: CandidateUniverse, targets: List[int], size: int):
     """DFS over candidate sets of the given size, connectivity-pruned, for
     one that connects the targets.
 
     Every chosen point must touch a target or an earlier choice, which is
     complete for inclusion-minimal relay sets; no point is chosen twice.
     Children are tried in ascending point order, and each state counts once
-    against the cap.  A frame whose children are full-size computes which
-    children join the targets once (``_joining_children``), and each child
-    is then one bit test.
+    against ``_STATE_CAP``.  A frame whose children are full-size computes
+    which children join the targets once (``_joining_children``), and each
+    child is then one bit test.
     """
     rows = universe.rows
     if size == 0:
@@ -338,8 +332,6 @@ def _deepening_search(
     for t in targets:
         reach |= rows[t]
     states = 1  # the empty choice
-    if states > state_cap:
-        raise OracleBudgetError("state cap exceeded")
     seen: Set[Tuple[int, ...]] = set()
     # Each frame: a chosen tuple, the points it touches, and the untried ones.
     # A frame runs until it descends into a child; one with full-size
@@ -361,7 +353,7 @@ def _deepening_search(
                 continue
             seen.add(nxt)
             states += 1
-            if states > state_cap:
+            if states > _STATE_CAP:
                 raise OracleBudgetError("state cap exceeded")
             if not leaves:
                 grown = reach | rows[c]
@@ -374,20 +366,17 @@ def _deepening_search(
 
 
 def exact_component_oracle(
-    instance: Instance,
-    subset: Iterable[int],
-    config: SchemeConfig,
-    universe: Optional[CandidateUniverse] = None,
+    instance: Instance, subset: Iterable[int], universe: Optional[CandidateUniverse] = None
 ) -> Hyperedge:
     """Fewest relay points connecting the terminal subset, over the universe,
     as the subset's hyperedge."""
     subset = sorted(set(subset))
     if len(subset) < 2:
         raise InstanceError("component oracle needs at least two terminals")
-    if len(subset) > max(config.k, 12):
+    if len(subset) > 12:
         raise InstanceError("component oracle limited to small subsets")
     if universe is None:
-        universe = build_candidate_universe(instance, config)
+        universe = build_candidate_universe(instance)
 
     # Bead chains along the subset's MST give an always-available fallback.
     mst = mst_pairs(instance, subset)
@@ -396,7 +385,7 @@ def exact_component_oracle(
     exact = not universe.truncated
     for size in range(0, min(ub, _MAX_STEINER)):
         try:
-            hit = _deepening_search(universe, subset, size, config.state_cap)
+            hit = _deepening_search(universe, subset, size)
         except OracleBudgetError:
             exact = False
             break
@@ -485,7 +474,7 @@ def build_component_hypergraph(
         raise InstanceError(
             "hypergraph of %d edges exceeds budget; lower k" % total
         )
-    universe = build_candidate_universe(instance, config)
+    universe = build_candidate_universe(instance)
     table: Dict[FrozenSet[int], Hyperedge] = {}
     for j in range(2, top + 1):
         for combo in itertools.combinations(range(n), j):
@@ -495,7 +484,7 @@ def build_component_hypergraph(
                 witness = realize(instance, [BeadEdge(*combo, 0, cost)]).points
                 table[key] = Hyperedge(key, cost, witness, True)
             else:
-                table[key] = exact_component_oracle(instance, combo, config, universe)
+                table[key] = exact_component_oracle(instance, combo, universe)
 
     # Witness reuse pass, larger sets first.
     for key in sorted(table, key=lambda s: -len(s)):

@@ -16,7 +16,8 @@ import numpy as np
 
 from relaysynth.connectivity import UnionFind, is_feasible
 from relaysynth.instances import SolutionGraph
-from relaysynth.steiner import OracleBudgetError, SchemeConfig, build_candidate_universe
+from relaysynth import steiner
+from relaysynth.steiner import OracleBudgetError, build_candidate_universe
 
 
 def enumerate_simple_paths(edges, u: int, v: int) -> List[Tuple[int, ...]]:
@@ -327,17 +328,17 @@ def deepening_search(rows, targets, size: int, state_cap: int, accept, with_dupl
     return grow((), reach)
 
 
-def brute_force_opt(instance, max_s: int, config=None):
+def brute_force_opt(instance, max_s: int):
     """Smallest relay multiset (duplicates allowed) over the candidate
     universe that meets every demand, as (size, points).
 
     Iterative deepening on the size with ``deepening_search`` from the
     terminals, each full-size multiset checked by ``is_feasible`` on
     ``SolutionGraph.build``; raises OracleBudgetError when a size runs past
-    ``config.state_cap`` or no size up to max_s is feasible.
+    ``steiner._STATE_CAP``, read at the call, or no size up to max_s is
+    feasible.
     """
-    config = config or SchemeConfig()
-    universe = build_candidate_universe(instance, config)
+    universe = build_candidate_universe(instance)
 
     def feasible(chosen):
         points = [universe.points[c] for c in chosen]
@@ -345,7 +346,7 @@ def brute_force_opt(instance, max_s: int, config=None):
 
     for size in range(0, max_s + 1):
         hit = deepening_search(
-            universe.rows, list(range(instance.n)), size, config.state_cap, feasible, True
+            universe.rows, list(range(instance.n)), size, steiner._STATE_CAP, feasible, True
         )
         if hit is not None:
             return size, tuple(universe.points[c] for c in hit)

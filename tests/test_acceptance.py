@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from relaysynth import steiner
 from relaysynth.audits import (
     audit_decomposition,
     audit_overlap_sum,
@@ -52,11 +53,12 @@ def witness_sweep():
     return outcome, time.perf_counter() - t0
 
 
-def test_pentagon_tightness():
+def test_pentagon_tightness(monkeypatch):
+    monkeypatch.setattr(steiner, "_CANDIDATE_DEPTH", 1)
     t0 = time.perf_counter()
     inst = pentagon_instance()
     baseline = mst_baseline(inst)
-    opt, _ = brute_force_opt(inst, 2, SchemeConfig(k=5, candidate_depth=1))
+    opt, _ = brute_force_opt(inst, 2)
     elapsed = time.perf_counter() - t0
     assert len(baseline.steiner) == 4
     assert opt == 1
@@ -127,11 +129,12 @@ def test_survivable_pipeline_sweep(witness_sweep):
     )
 
 
-def test_collinear_and_square_solutions():
+def test_collinear_and_square_solutions(monkeypatch):
+    monkeypatch.setattr(steiner, "_CANDIDATE_DEPTH", 1)
     t0 = time.perf_counter()
     col = collinear_instance()
     rep = solve_sn_msp_012(col, "exact", include_witness=False)
-    opt, _ = brute_force_opt(col, 4, SchemeConfig(k=2, candidate_depth=1))
+    opt, _ = brute_force_opt(col, 4)
     sq = square_instance()
     rep_sq = solve_sn_msp_012(sq, "exact", include_witness=False)
     elapsed = time.perf_counter() - t0

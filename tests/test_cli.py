@@ -21,7 +21,7 @@ from relaysynth.instances import InstanceError
 from relaysynth.local_replacement import HypergraphError
 from relaysynth.reporting import CSV_COLUMNS
 from relaysynth.simplex import CoverLP, CoverRow, SimplexError
-from relaysynth.steiner import OracleBudgetError, SchemeConfig
+from relaysynth.steiner import OracleBudgetError
 
 
 def run_cli(*argv):
@@ -207,6 +207,29 @@ def test_fixed_family_refuses_generator_options(capsys, family, option, value):
         assert captured.err == "error: %s family is fixed and takes no %s\n" % (family, option)
 
 
+@pytest.mark.parametrize("option, value", [("--box", "-3"), ("--demands", "all-2")])
+def test_star_family_refuses_box_and_demands(capsys, option, value):
+    for command in ("gen", "solve", "sweep"):
+        assert run_cli(command, "--family", "star", "--n", "5", option, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: star family takes no %s\n" % option
+    assert run_cli("gen", "--family", "star", "--n", "5", "--seed", "3") == 0
+    assert len(json.loads(capsys.readouterr().out)["terminals"]) == 5
+
+
+def test_tau_star_accompanies_mst_up_to_the_terminal_cutoff(tmp_path, capsys):
+    cutoff = relaysynth.cli._TAU_STAR_TERMINALS
+    assert cutoff == 12
+    for n, tau in ((cutoff, "0"), (cutoff + 1, "None")):
+        out = tmp_path / str(n)
+        argv = ("solve", "--algo", "mst", "--demands", "all-1", "--n", str(n), "--box", "4")
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert capsys.readouterr().out.rstrip().endswith("tau*=%s" % tau)
+        (row,) = json.loads((out / "report.json").read_text())["rows"]
+        assert (row["tau_star"] is None) == (n > cutoff)
+
+
 def test_distance_cap_error_is_one_short_line(tmp_path, capsys):
     assert run_cli("solve", "--box", "1e308", "--n", "3", "--out", str(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -265,11 +288,13 @@ def test_malformed_instance_json_exits_one(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
-def test_reported_opt_is_the_brute_force_optimum():
+def test_reported_opt_is_the_brute_force_optimum(monkeypatch):
     # ceil(2 tau* / delta) is at most the optimum, here the brute force over
     # a candidate universe, and a row reports opt only where its placed
     # count meets that bound, so every reported opt is the brute force's.
-    small = SchemeConfig(k=2, candidate_depth=1, max_candidates=200, state_cap=5000)
+    monkeypatch.setattr(relaysynth.steiner, "_CANDIDATE_DEPTH", 1)
+    monkeypatch.setattr(relaysynth.steiner, "_MAX_CANDIDATES", 200)
+    monkeypatch.setattr(relaysynth.steiner, "_STATE_CAP", 5000)
     config = ExperimentConfig(algorithm="sn012", backend="exact")
     compared = reported = 0
     for n in (3, 4, 5):
@@ -280,7 +305,7 @@ def test_reported_opt_is_the_brute_force_optimum():
                 assert feasible
                 bound = math.ceil(2 * Fraction(row["tau_star"]) / inst.metric.delta)
                 try:
-                    opt, _ = brute_force_opt(inst, min(row["n_steiner"], 4), small)
+                    opt, _ = brute_force_opt(inst, min(row["n_steiner"], 4))
                 except OracleBudgetError:
                     opt = None  # none of at most 4 relays found within the cap
                 if opt is not None:

@@ -36,6 +36,7 @@ RETIRED_PARAMETERS = {
     "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
     "max_steiner", "r_cap", "time_cap", "strict", "ks", "opt", "abstract",
     "hypergraph_budget", "grid_resolution", "extra_nodes", "accept", "with_duplicates",
+    "candidate_depth", "max_candidates", "state_cap",
 }
 # Keyword pass-throughs that only ever forwarded nothing.
 RETIRED_PASS_THROUGHS = {"caps", "backend_caps"}
@@ -93,6 +94,12 @@ def test_the_copy_table_keeps_k_in_its_bounds_alone():
     # A pair's copy count is its free copies plus max_extra; no field repeats it.
     names = [f.name for f in dataclasses.fields(connectivity.CopyTable)]
     assert names == ["pair_cost", "max_extra", "base_caps"]
+
+
+def test_the_scheme_has_one_setting():
+    # The universe and the search bounds are module constants; k alone is set.
+    names = [f.name for f in dataclasses.fields(steiner.SchemeConfig)]
+    assert names == ["k"]
 
 
 def test_tau_star_returns_its_vertex_per_pair():

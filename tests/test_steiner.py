@@ -1,7 +1,5 @@
 import math
 import random
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -83,13 +81,13 @@ def test_mst_baseline_rejects_partial_demands():
 
 def test_oracle_pair_distance_three():
     inst = make_instance([Point.at(0, 0), Point.at(3, 0)], all_pairs_demands(2, 1), E2)
-    res = exact_component_oracle(inst, [0, 1], SchemeConfig(k=2))
+    res = exact_component_oracle(inst, [0, 1])
     assert res.cost == 2
 
 
 def test_oracle_sqrt3_triple_hits_circumcenter():
     inst = sqrt3_triangle()
-    res = exact_component_oracle(inst, [0, 1, 2], SchemeConfig(k=3))
+    res = exact_component_oracle(inst, [0, 1, 2])
     assert res.cost == 1
     (witness,) = res.witness
     cx, cy = witness.coords
@@ -100,7 +98,7 @@ def test_oracle_sqrt3_triple_hits_circumcenter():
 def test_oracle_distance_two_triple_needs_two_relays():
     pts = [Point.at(0, 0), Point.at(2, 0), Point.at(1, S3)]
     inst = make_instance(pts, all_pairs_demands(3, 1), E2)
-    res = exact_component_oracle(inst, [0, 1, 2], SchemeConfig(k=3))
+    res = exact_component_oracle(inst, [0, 1, 2])
     assert res.cost == 2
 
 
@@ -111,17 +109,18 @@ def test_oracle_pair_cost_equals_bead_count():
         inst = make_instance(
             [Point.at(0, 0), Point.at(d, 0)], all_pairs_demands(2, 1), E2
         )
-        res = exact_component_oracle(inst, [0, 1], SchemeConfig(k=2))
+        res = exact_component_oracle(inst, [0, 1])
         assert res.cost == max(math.ceil(d - 1e-9) - 1, 0)
 
 
-def test_oracle_witness_reuse_keeps_table_monotone():
+def test_oracle_witness_reuse_keeps_table_monotone(monkeypatch):
+    monkeypatch.setattr(steiner, "_MAX_CANDIDATES", 600)
     rng = random.Random(8)
     for _ in range(8):
         n = rng.randint(3, 5)
         pts = [Point.at(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(n)]
         inst = make_instance(pts, all_pairs_demands(n, 1), E2)
-        config = SchemeConfig(k=min(n, 4), max_candidates=600)
+        config = SchemeConfig(k=min(n, 4))
         table = {e.nodes: e for e in build_component_hypergraph(inst, config).edges}
         for nodes, entry in table.items():
             for other, sub in table.items():
@@ -182,13 +181,13 @@ def test_brute_force_budget_exhaustion():
         brute_force_opt(inst, 3)
 
 
-def test_two_grid_resolutions_agree_on_triangle():
+def test_two_grid_resolutions_agree_on_triangle(monkeypatch):
     # cross-validation: a coarse candidate universe (one layer of unit-circle
     # intersections) and the default two-layer one yield the same optimum
     inst = sqrt3_triangle()
     for depth in (1, 2):
-        cfg = SchemeConfig(k=3, candidate_depth=depth)
-        res = exact_component_oracle(inst, [0, 1, 2], cfg)
+        monkeypatch.setattr(steiner, "_CANDIDATE_DEPTH", depth)
+        res = exact_component_oracle(inst, [0, 1, 2])
         assert res.cost == 1
 
 
@@ -203,7 +202,7 @@ def test_finite_metric_universe_uses_matrix_nodes():
     inst = make_instance(
         [Point.node(0), Point.node(1), Point.node(2)], all_pairs_demands(3, 1), fin
     )
-    res = exact_component_oracle(inst, [0, 1, 2], SchemeConfig(k=3))
+    res = exact_component_oracle(inst, [0, 1, 2])
     assert res.cost == 1  # the hub node connects all three terminals
     assert res.witness[0].index == 3
 
@@ -228,7 +227,7 @@ def _unit_disk_relation(universe, metric):
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(seed):
+def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(monkeypatch, seed):
     # The numpy relation of the universe and the scalar unit-disk predicate
     # must agree, also for a terminal pair planted right at the tolerance.
     rng = random.Random(seed)
@@ -239,16 +238,17 @@ def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(seed):
     pts = [Point.at(x, y), Point.at(x + r * math.cos(theta), y + r * math.sin(theta))]
     pts += [Point.at(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(2)]
     inst = make_instance(pts, all_pairs_demands(4, 1), E2)
-    universe = build_candidate_universe(
-        inst, SchemeConfig(k=3, candidate_depth=1, max_candidates=200)
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(steiner, "_CANDIDATE_DEPTH", 1)
+        patch.setattr(steiner, "_MAX_CANDIDATES", 200)
+        universe = build_candidate_universe(inst)
     assert bool(universe.rows[0] >> 1 & 1) == (offset < EPS_GEO)
     assert np.array_equal(_relation(universe), _unit_disk_relation(universe, E2))
 
     # A pair at exactly 1 + EPS_GEO is within unit distance.
     pts = [Point.at(0.0, 0.0), Point.at(1.0 + EPS_GEO, 0.0)]
     inst = make_instance(pts, all_pairs_demands(2, 1), E2)
-    universe = build_candidate_universe(inst, SchemeConfig(k=2))
+    universe = build_candidate_universe(inst)
     assert universe.rows[0] >> 1 & 1 and universe.rows[1] & 1
     assert np.array_equal(_relation(universe), _unit_disk_relation(universe, E2))
 
@@ -265,7 +265,7 @@ def test_universe_adjacency_matches_unit_disk_graph_at_the_tolerance(seed):
     term_ids = rng.sample(range(1, size), 2) + [0]
     rng.shuffle(term_ids)
     inst = make_instance([Point.node(i) for i in term_ids], all_pairs_demands(3, 1), fin)
-    universe = build_candidate_universe(inst, SchemeConfig(k=3))
+    universe = build_candidate_universe(inst)
     relation = _relation(universe)
     assert np.array_equal(relation, _unit_disk_relation(universe, fin))
     ids = [p.index for p in universe.points]
@@ -305,14 +305,13 @@ def _random_node_set(rng, relation, size):
     return nodes
 
 
-def test_bitmask_connects_matches_union_find_reference():
+def test_bitmask_connects_matches_union_find_reference(monkeypatch):
     outcomes = {True: 0, False: 0}
     for seed in range(10):
         rng = random.Random(seed)
         inst = uniform_box_instance(5, 3.0, seed, "all-1")
-        universe = build_candidate_universe(
-            inst, SchemeConfig(max_candidates=rng.choice((20, 40, 80)))
-        )
+        monkeypatch.setattr(steiner, "_MAX_CANDIDATES", rng.choice((20, 40, 80)))
+        universe = build_candidate_universe(inst)
         relation = _relation(universe)
         for _ in range(150):
             nodes = _random_node_set(rng, relation, rng.randint(2, 14))
@@ -326,14 +325,14 @@ def test_bitmask_connects_matches_union_find_reference():
 
 
 def _reference_case(kind):
-    """(instance, config) for one kind of cut, at the current block size."""
+    """(instance, depth, cap) for one kind of cut, at the current block size."""
     if kind == "none":
         inst = uniform_box_instance(3, 1.5, 0, "all-1")
-        return inst, SchemeConfig(max_candidates=3000)
+        return inst, 2, 3000
     if kind == "count3":
         # One pair needs three beads, and nothing is cut.
         inst = uniform_box_instance(6, 3.0, 1, "all-1")
-        return inst, SchemeConfig(candidate_depth=1, max_candidates=3000)
+        return inst, 1, 3000
     if kind in ("count1", "count2"):
         # 36 points start the bead step: origin block 1 is the count-1
         # layer, blocks 2 and 3 the two steps of the count-2 layer.
@@ -346,7 +345,7 @@ def _reference_case(kind):
             cap = blocks.index(2) - 5
         else:
             cap = (blocks.index(3) + len(blocks)) // 2
-        return inst, SchemeConfig(candidate_depth=1, max_candidates=cap)
+        return inst, 1, cap
     inst = uniform_box_instance(5, 3.0, 0, "all-1")
     terminals = [p.coords for p in inst.terminals]
     origin = reference_universe(terminals, 2, 1500, EPS_GEO)[3]
@@ -360,7 +359,7 @@ def _reference_case(kind):
     else:
         cap = first - 7
         assert origin[cap][1] % chunk not in (0, chunk - 1)
-    return inst, SchemeConfig(max_candidates=cap)
+    return inst, 2, cap
 
 
 # No output may depend on the block size: the shipped one, a small one that
@@ -371,17 +370,16 @@ def _reference_case(kind):
 )
 def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
     monkeypatch.setattr(steiner, "_CHUNK", chunk)
-    inst, config = _reference_case(kind)
+    inst, depth, cap = _reference_case(kind)
+    monkeypatch.setattr(steiner, "_CANDIDATE_DEPTH", depth)
+    monkeypatch.setattr(steiner, "_MAX_CANDIDATES", cap)
     coords, adj, truncated, _ = reference_universe(
-        [p.coords for p in inst.terminals],
-        config.candidate_depth,
-        config.max_candidates,
-        EPS_GEO,
+        [p.coords for p in inst.terminals], depth, cap, EPS_GEO
     )
     assert truncated == (kind in ("inside", "boundary", "count1", "count2"))
 
     # Rows are computed on first read, in any order, and only for points.
-    shuffled = build_candidate_universe(inst, config)
+    shuffled = build_candidate_universe(inst)
     assert shuffled.rows._rows.count(None) == len(coords)
     packed = np.packbits(adj, axis=1, bitorder="little")
     order = list(range(len(coords)))
@@ -391,7 +389,7 @@ def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
     with pytest.raises(IndexError):
         shuffled.rows[len(shuffled.rows)]
 
-    universe = build_candidate_universe(inst, config)
+    universe = build_candidate_universe(inst)
     assert universe.points == tuple(Point.at(*xy) for xy in coords)
     assert len(universe.rows) == len(coords)
     assert np.array_equal(_relation(universe), adj)
@@ -404,8 +402,8 @@ def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
 def test_a_hypergraph_computes_only_the_rows_its_search_reads(monkeypatch):
     universes = []
 
-    def recorded(instance, config):
-        universes.append(build_candidate_universe(instance, config))
+    def recorded(instance):
+        universes.append(build_candidate_universe(instance))
         return universes[-1]
 
     monkeypatch.setattr(steiner, "build_candidate_universe", recorded)
@@ -415,7 +413,7 @@ def test_a_hypergraph_computes_only_the_rows_its_search_reads(monkeypatch):
     assert 0 < computed < len(universe.points)
 
 
-def test_joining_children_match_a_bit_bfs_per_child():
+def test_joining_children_match_a_bit_bfs_per_child(monkeypatch):
     # Each bit of the per-frame mask says whether adding that one point
     # connects the targets: every point is tried, chosen ones and subset
     # terminals included.
@@ -424,9 +422,8 @@ def test_joining_children_match_a_bit_bfs_per_child():
     for seed in range(10):
         rng = random.Random(seed)
         inst = uniform_box_instance(5, 3.0, seed, "all-1")
-        universe = build_candidate_universe(
-            inst, SchemeConfig(max_candidates=rng.choice((20, 40, 80)))
-        )
+        monkeypatch.setattr(steiner, "_MAX_CANDIDATES", rng.choice((20, 40, 80)))
+        universe = build_candidate_universe(inst)
         rows, relation = universe.rows, _relation(universe)
         for _ in range(20):
             targets = rng.sample(range(inst.n), rng.randint(1, inst.n))
@@ -449,13 +446,15 @@ def _outcome(search, *args):
         return "budget"
 
 
-def test_the_search_accepts_what_a_bit_bfs_accepts():
+def test_the_search_accepts_what_a_bit_bfs_accepts(monkeypatch):
     # The mask-tested search and the reference search with a BFS per leaf
     # find the same set, or run out of states at the same count.
+    monkeypatch.setattr(steiner, "_MAX_CANDIDATES", 60)
+    monkeypatch.setattr(steiner, "_STATE_CAP", 3000)
     for seed in range(6):
         rng = random.Random(seed)
         inst = uniform_box_instance(5, 3.0, seed, "all-1")
-        universe = build_candidate_universe(inst, SchemeConfig(max_candidates=60))
+        universe = build_candidate_universe(inst)
         rows = universe.rows
         for _ in range(4):
             subset = sorted(rng.sample(range(inst.n), rng.randint(2, inst.n)))
@@ -464,7 +463,7 @@ def test_the_search_accepts_what_a_bit_bfs_accepts():
                 return connects_by_bit_bfs(rows, subset + list(chosen), subset)
 
             for size in range(4):
-                masked = _outcome(steiner._deepening_search, universe, subset, size, 3000)
+                masked = _outcome(steiner._deepening_search, universe, subset, size)
                 bfs = _outcome(deepening_search, rows, subset, size, 3000, by_bfs, False)
                 assert masked == bfs, (seed, subset, size)
 
@@ -476,19 +475,20 @@ def test_the_search_accepts_what_a_bit_bfs_accepts():
         ((0, 1, 2, 3), 2, 12005, 2),
     ],
 )
-def test_oracle_search_effort_is_pinned(subset, depth, needed, found):
+def test_oracle_search_effort_is_pinned(monkeypatch, subset, depth, needed, found):
     # The deepening search needs exactly `needed` states in its largest
     # size; one fewer ends it at the bead-MST fallback.
     inst = uniform_box_instance(5, 3.0, 4, "all-1")
     fallback = sum(cost for cost, _, _ in mst_pairs(inst, subset))
     assert fallback > found
     cap = 3000 if depth == 1 else 1500
-    base = SchemeConfig(k=5, candidate_depth=depth, max_candidates=cap)
-    universe = build_candidate_universe(inst, base)
+    monkeypatch.setattr(steiner, "_CANDIDATE_DEPTH", depth)
+    monkeypatch.setattr(steiner, "_MAX_CANDIDATES", cap)
+    universe = build_candidate_universe(inst)
 
     def oracle(state_cap):
-        config = replace(base, state_cap=state_cap)
-        return exact_component_oracle(inst, subset, config, universe)
+        monkeypatch.setattr(steiner, "_STATE_CAP", state_cap)
+        return exact_component_oracle(inst, subset, universe)
 
     short = oracle(needed - 1)
     assert (short.cost, short.exact) == (fallback, False)
