@@ -53,9 +53,9 @@ def square_instance() -> Instance:
     return make_instance(pts, all_pairs_demands(4, 2), MetricSpace.euclidean(2))
 
 
-def collinear_instance(gap: float = 3.0) -> Instance:
-    """Two terminals on the x-axis with a double-connectivity demand."""
-    pts = [Point.at(0, 0), Point.at(gap, 0)]
+def collinear_instance() -> Instance:
+    """Two terminals 3 apart on the x-axis with a double-connectivity demand."""
+    pts = [Point.at(0, 0), Point.at(3.0, 0)]
     return make_instance(pts, {(0, 1): 2}, MetricSpace.euclidean(2))
 
 

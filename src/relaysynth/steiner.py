@@ -10,11 +10,11 @@ search have constant bounds; ``SchemeConfig``'s k is the scheme's one setting.
 The universe stores its unit-disk relation once, as one Python-int bitmask
 row per point; a planar universe computes each row on its first read, so a
 solve computes only the rows its search reads.  The search has one mode:
-connectivity-pruned sets without repeats.  It grows its set of touched
-points by OR-ing rows, and a frame whose children are leaves finds the
-components of its set once, so each leaf is one bit test.  The brute-force
-optimum of a whole instance is a test oracle (``tests/bruteforce.py``), not
-a solver.
+connectivity-pruned sets, each generated once along its least valid order,
+with no record of the sets seen.  It grows its touched points by OR-ing
+rows, and a frame whose children are leaves finds its components once, so
+each leaf is one bit test.  The brute-force optimum of a whole instance is
+a test oracle (``tests/bruteforce.py``), not a solver.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ _HYPERGRAPH_BUDGET = 2000  # subset count bound of build_component_hypergraph
 _CANDIDATE_DEPTH = 2  # layers of unit-circle intersections in the universe
 _MAX_CANDIDATES = 1500  # point count bound of the candidate universe
 _STATE_CAP = 400_000  # states per size of the component oracle's search
+_MAX_SUBSET = 12  # terminals per subset of the component oracle
 
 
 class OracleBudgetError(RelaysynthError, RuntimeError):
@@ -319,11 +320,14 @@ def _deepening_search(universe: CandidateUniverse, targets: List[int], size: int
     one that connects the targets.
 
     Every chosen point must touch a target or an earlier choice, which is
-    complete for inclusion-minimal relay sets; no point is chosen twice.
-    Children are tried in ascending point order, and each state counts once
-    against ``_STATE_CAP``.  A frame whose children are full-size computes
-    which children join the targets once (``_joining_children``), and each
-    child is then one bit test.
+    complete for inclusion-minimal relay sets.  Each set is generated once,
+    along its least valid order (each step takes its smallest point that
+    touches a target or an earlier choice): child c bars its frame's barred
+    points and the points up to c that the frame touches.  Children come in
+    ascending point order, so the sets come in the order in which a seen-set
+    DFS first meets them, and each counts once against ``_STATE_CAP``.  A
+    frame whose children are full-size computes which children join the
+    targets once (``_joining_children``), and each child is one bit test.
     """
     rows = universe.rows
     if size == 0:
@@ -332,13 +336,12 @@ def _deepening_search(universe: CandidateUniverse, targets: List[int], size: int
     for t in targets:
         reach |= rows[t]
     states = 1  # the empty choice
-    seen: Set[Tuple[int, ...]] = set()
-    # Each frame: a chosen tuple, the points it touches, and the untried ones.
-    # A frame runs until it descends into a child; one with full-size
-    # children never descends, so it runs once.
-    stack = [((), reach, reach)]
+    # Each frame: a chosen sequence, the points it touches, the points barred
+    # to its descendants, and its untried children.  A frame runs until it
+    # descends into a child; a frame of full-size children runs once.
+    stack = [((), reach, 0, reach)]
     while stack:
-        chosen, reach, untried = stack.pop()
+        chosen, reach, barred, untried = stack.pop()
         leaves = len(chosen) == size - 1
         if leaves:
             joins = _joining_children(rows, targets + list(chosen), targets)
@@ -346,22 +349,17 @@ def _deepening_search(universe: CandidateUniverse, targets: List[int], size: int
             low = untried & -untried
             untried ^= low
             c = low.bit_length() - 1
-            if c in chosen:
-                continue
-            nxt = tuple(sorted(chosen + (c,)))
-            if nxt in seen:
-                continue
-            seen.add(nxt)
             states += 1
             if states > _STATE_CAP:
                 raise OracleBudgetError("state cap exceeded")
             if not leaves:
+                below = barred | (reach & ((low << 1) - 1))
                 grown = reach | rows[c]
-                stack.append((chosen, reach, untried))
-                stack.append((nxt, grown, grown))
+                stack.append((chosen, reach, barred, untried))
+                stack.append((chosen + (c,), grown, below, grown & ~below))
                 break
             if joins >> c & 1:
-                return nxt
+                return tuple(sorted(chosen + (c,)))
     return None
 
 
@@ -373,7 +371,7 @@ def exact_component_oracle(
     subset = sorted(set(subset))
     if len(subset) < 2:
         raise InstanceError("component oracle needs at least two terminals")
-    if len(subset) > 12:
+    if len(subset) > _MAX_SUBSET:
         raise InstanceError("component oracle limited to small subsets")
     if universe is None:
         universe = build_candidate_universe(instance)

@@ -1,10 +1,12 @@
 """Independent oracles used by the tests; no imports from the solver paths
 they check beyond plain data types.
 
-Two exceptions: ``deepening_search`` replays the component oracle's search
-order with a predicate per full-size set in place of its component masks,
-and ``brute_force_opt``, a whole-instance optimum built on it, reads the
-solver's own candidate universe and feasibility check.
+Two exceptions: ``deepening_search`` is the seen-set search that the
+component oracle's canonical order is checked against: a DFS that records
+every set it meets, with a predicate per full-size set in place of the
+oracle's component masks.  ``brute_force_opt``, a whole-instance optimum
+built on it, reads the solver's own candidate universe and feasibility
+check.
 """
 
 from __future__ import annotations
@@ -282,8 +284,8 @@ def reference_universe(terminals, depth: int, cap: int, eps: float):
 
 
 def deepening_search(rows, targets, size: int, state_cap: int, accept, with_duplicates: bool):
-    """The component oracle's search order, with ``accept`` tested on every
-    full-size (multi)set in place of its component masks.
+    """The component oracle's search order by a seen set, with ``accept``
+    tested on every full-size (multi)set in place of its component masks.
 
     A DFS over (multi)sets of the given size: every chosen point touches a
     target or an earlier choice, children come in ascending point order, a

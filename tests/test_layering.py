@@ -36,7 +36,7 @@ RETIRED_PARAMETERS = {
     "eps_geo", "node_cap", "max_rounds", "max_pivots", "cost_lo", "cost_hi", "scale",
     "max_steiner", "r_cap", "time_cap", "strict", "ks", "opt", "abstract",
     "hypergraph_budget", "grid_resolution", "extra_nodes", "accept", "with_duplicates",
-    "candidate_depth", "max_candidates", "state_cap",
+    "candidate_depth", "max_candidates", "state_cap", "gap",
 }
 # Keyword pass-throughs that only ever forwarded nothing.
 RETIRED_PASS_THROUGHS = {"caps", "backend_caps"}

@@ -11,7 +11,7 @@ from relaysynth.audits import (
     replacement_bound_holds,
 )
 from relaysynth.connectivity import is_feasible, verify_feasible
-from relaysynth.generators import pentagon_instance
+from relaysynth.generators import pentagon_instance, uniform_box_instance
 from relaysynth.instances import (
     MetricSpace,
     Point,
@@ -242,6 +242,19 @@ def test_scheme_zero_cost_tree_returns_immediately():
     res = st_msp_scheme(inst, SchemeConfig(k=3))
     assert res.size == 0
     assert res.trace.steps == ()
+
+
+def test_scheme_seven_terminals_is_pinned():
+    # One size above the benchmark's scheme pool: every 3-5 subset goes
+    # through the component oracle's search.
+    inst = uniform_box_instance(7, 4.0, 0, "all-1")
+    res = st_msp_scheme(inst)
+    assert res.size == 2
+    assert is_feasible(inst, res.solution)
+    edges = res.hypergraph.edges
+    assert len(edges) == 112
+    assert sum(e.cost for e in edges) == 186
+    assert sum(e.exact for e in edges) == 21
 
 
 def _sqrt3_triangle_and_far_terminal():

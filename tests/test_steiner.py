@@ -102,6 +102,12 @@ def test_oracle_distance_two_triple_needs_two_relays():
     assert res.cost == 2
 
 
+def test_oracle_refuses_a_subset_above_its_bound():
+    inst = uniform_box_instance(steiner._MAX_SUBSET + 1, 6.0, 0, "all-1")
+    with pytest.raises(InstanceError, match="limited to small subsets"):
+        exact_component_oracle(inst, range(inst.n))
+
+
 def test_oracle_pair_cost_equals_bead_count():
     rng = random.Random(3)
     for _ in range(15):
@@ -466,6 +472,60 @@ def test_the_search_accepts_what_a_bit_bfs_accepts(monkeypatch):
                 masked = _outcome(steiner._deepening_search, universe, subset, size)
                 bfs = _outcome(deepening_search, rows, subset, size, 3000, by_bfs, False)
                 assert masked == bfs, (seed, subset, size)
+
+
+def _least_cap(search):
+    """The least state cap at which ``search(cap)`` completes, by doubling
+    and then bisection, with its outcome at that cap."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            outcome = search(hi)
+            break
+        except OracleBudgetError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            outcome = search(mid)
+            hi = mid
+        except OracleBudgetError:
+            lo = mid
+    return hi, outcome
+
+
+def test_the_search_needs_exactly_the_states_of_the_seen_set_search(monkeypatch):
+    # Each set is generated once, along its least valid order, and the sets
+    # come in the order in which the reference's seen-set DFS first meets
+    # them: both find the same set at the same state count, or exhaust the
+    # size at the same count.
+    outcomes = {"hit": 0, "exhausted": 0}
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(4, 6)
+        inst = uniform_box_instance(n, rng.choice((2.0, 3.0, 4.0)), seed, "all-1")
+        monkeypatch.setattr(steiner, "_CANDIDATE_DEPTH", rng.choice((1, 2)))
+        monkeypatch.setattr(steiner, "_MAX_CANDIDATES", rng.choice((30, 60, 120)))
+        universe = build_candidate_universe(inst)
+        rows = universe.rows
+        for _ in range(10):
+            subset = sorted(rng.sample(range(n), rng.randint(2, n)))
+            size = rng.randint(1, 3)
+
+            def by_bfs(chosen):
+                return connects_by_bit_bfs(rows, subset + list(chosen), subset)
+
+            needed, expected = _least_cap(
+                lambda cap: deepening_search(rows, subset, size, cap, by_bfs, False)
+            )
+            monkeypatch.setattr(steiner, "_STATE_CAP", needed)
+            assert steiner._deepening_search(universe, subset, size) == expected
+            monkeypatch.setattr(steiner, "_STATE_CAP", needed - 1)
+            with pytest.raises(OracleBudgetError):
+                steiner._deepening_search(universe, subset, size)
+            outcomes["exhausted" if expected is None else "hit"] += 1
+    assert sum(outcomes.values()) >= 100, outcomes
+    assert outcomes["hit"] >= 30 and outcomes["exhausted"] > 0, outcomes
 
 
 @pytest.mark.parametrize(
