@@ -9,12 +9,14 @@ search have constant bounds; ``SchemeConfig``'s k is the scheme's one setting.
 
 The universe stores its unit-disk relation once, as one Python-int bitmask
 row per point; a planar universe computes each row on its first read, so a
-solve computes only the rows its search reads.  The search has one mode:
+solve computes only the rows its search reads, and builds a ``Point`` only
+for the points read, i.e. for witnesses.  The search has one mode:
 connectivity-pruned sets, each generated once along its least valid order,
 with no record of the sets seen.  It grows its touched points by OR-ing
-rows, and a frame whose children are leaves finds its components once, so
-each leaf is one bit test.  The brute-force optimum of a whole instance is
-a test oracle (``tests/bruteforce.py``), not a solver.
+rows, and each frame carries one touch mask per component of its targets
+and choices, so a frame whose children are leaves decides all of them with
+one AND and counts them with one popcount.  The brute-force optimum of a
+whole instance is a test oracle (``tests/bruteforce.py``), not a solver.
 """
 
 from __future__ import annotations
@@ -142,19 +144,35 @@ class _UnitDiskRows(Sequence):
         return row
 
 
+class _PlanarPoints(Sequence):
+    """The points of a planar universe, each built as a ``Point`` from its
+    coordinates on read; the search reads only rows, so only witnesses are
+    built."""
+
+    def __init__(self, coords: List[Tuple[float, float]]):
+        self._coords = coords
+
+    def __len__(self) -> int:
+        return len(self._coords)
+
+    def __getitem__(self, i: int) -> Point:
+        return Point.at(*self._coords[i])
+
+
 @dataclass(frozen=True)
 class CandidateUniverse:
     """Shared relay-position candidates; the first n entries are the terminals.
 
     The unit-disk relation is stored once, as bitmask rows: bit j of
     ``rows[i]`` is set when points i and j are within unit distance.  A
-    planar universe computes each row on its first read; a finite metric's
-    rows are a tuple.  The oracle reads the rows of the points its search
-    grows and of each leaf frame's set, and tests leaves against that
-    frame's component mask, not by a BFS.
+    planar universe computes each row on its first read and builds each
+    point on read; a finite metric's points and rows are tuples.  The
+    oracle reads the rows of the targets and of the points its search
+    grows, and tests leaves against their frame's component masks, not by
+    a BFS.
     """
 
-    points: Tuple[Point, ...]
+    points: Sequence[Point]
     rows: Sequence[int] = field(repr=False)
     truncated: bool
 
@@ -268,51 +286,26 @@ def build_candidate_universe(instance: Instance) -> CandidateUniverse:
 
     coords, truncated = _candidate_coords(instance)
     rows = _UnitDiskRows(np.array(coords, dtype=float).reshape(-1, 2))
-    return CandidateUniverse(tuple(Point.at(*c) for c in coords), rows, truncated)
+    return CandidateUniverse(_PlanarPoints(coords), rows, truncated)
 
 
 # ---------------------------------------------------------------------------
 # Exact small-set oracle
 
 
-def _joining_children(rows: Sequence[int], nodes: List[int], targets: List[int]) -> int:
-    """Bitmask of the points c for which ``nodes + [c]`` connects the targets,
-    which are among the nodes, in the unit-disk graph that ``rows`` induce.
-
-    One bit BFS per component that holds a target.  When the targets share a
-    component, every point joins them (-1, all bits set); otherwise a point
-    joins them iff it touches each of those components, i.e. iff its bit is
-    in the AND, over them, of the OR of their members' rows.
-    """
-    pending = 0
-    for v in nodes:
-        pending |= 1 << v
-    goal = 0
-    for t in targets:
-        goal |= 1 << t
-    touches = []
-    while goal:
-        frontier = goal & -goal
-        pending ^= frontier
-        component = frontier
-        touch = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            row = rows[low.bit_length() - 1]
-            touch |= row
-            reached = row & pending
-            pending ^= reached
-            frontier |= reached
-            component |= reached
-        goal &= ~component
-        touches.append(touch)
-    if len(touches) == 1:
-        return -1
-    joins = touches[0]
-    for touch in touches[1:]:
-        joins &= touch
-    return joins
+def _merge_masks(masks: List[int], row: int, c: int) -> List[int]:
+    """The touch masks, one per component (the OR of its members' rows),
+    once point c with row ``row`` joins the set: c merges every component
+    it touches, which are those whose mask has bit c, into one."""
+    merged = row
+    kept = []
+    for mask in masks:
+        if mask >> c & 1:
+            merged |= mask
+        else:
+            kept.append(mask)
+    kept.append(merged)
+    return kept
 
 
 def _deepening_search(universe: CandidateUniverse, targets: List[int], size: int):
@@ -325,41 +318,58 @@ def _deepening_search(universe: CandidateUniverse, targets: List[int], size: int
     touches a target or an earlier choice): child c bars its frame's barred
     points and the points up to c that the frame touches.  Children come in
     ascending point order, so the sets come in the order in which a seen-set
-    DFS first meets them, and each counts once against ``_STATE_CAP``.  A
-    frame whose children are full-size computes which children join the
-    targets once (``_joining_children``), and each child is one bit test.
+    DFS first meets them, and each counts once against ``_STATE_CAP``.
+
+    Every component of targets + chosen holds a target, and a frame carries
+    one touch mask per component (``_merge_masks``; the root merges the
+    targets one by one).  A child joins the targets iff it touches every
+    component, so a frame whose children are full-size takes the AND of its
+    masks, hits its lowest untried child in that AND, and counts the
+    children up to the hit, or all of them, with one popcount.
     """
     rows = universe.rows
-    if size == 0:
-        return () if _joining_children(rows, targets, targets) == -1 else None
-    reach = 0
+    masks: List[int] = []
     for t in targets:
-        reach |= rows[t]
+        masks = _merge_masks(masks, rows[t], t)
+    if size == 0:
+        return () if len(masks) == 1 else None
+    reach = 0
+    for mask in masks:
+        reach |= mask
     states = 1  # the empty choice
     # Each frame: a chosen sequence, the points it touches, the points barred
-    # to its descendants, and its untried children.  A frame runs until it
-    # descends into a child; a frame of full-size children runs once.
-    stack = [((), reach, 0, reach)]
+    # to its descendants, its untried children and its touch masks.  A frame
+    # descends into one child per pop; a frame of full-size children is
+    # decided at once.
+    stack = [((), reach, 0, reach, masks)]
     while stack:
-        chosen, reach, barred, untried = stack.pop()
-        leaves = len(chosen) == size - 1
-        if leaves:
-            joins = _joining_children(rows, targets + list(chosen), targets)
-        while untried:
+        chosen, reach, barred, untried, masks = stack.pop()
+        if len(chosen) == size - 1:
+            # One component's mask holds all of ``untried``: every child joins.
+            joins = -1
+            for mask in masks:
+                joins &= mask
+            hits = untried & joins
+            if hits:
+                low = hits & -hits
+                untried &= (low << 1) - 1
+            states += untried.bit_count()
+            if states > _STATE_CAP:
+                raise OracleBudgetError("state cap exceeded")
+            if hits:
+                return tuple(sorted(chosen + (low.bit_length() - 1,)))
+        elif untried:
             low = untried & -untried
-            untried ^= low
             c = low.bit_length() - 1
             states += 1
             if states > _STATE_CAP:
                 raise OracleBudgetError("state cap exceeded")
-            if not leaves:
-                below = barred | (reach & ((low << 1) - 1))
-                grown = reach | rows[c]
-                stack.append((chosen, reach, barred, untried))
-                stack.append((chosen + (c,), grown, below, grown & ~below))
-                break
-            if joins >> c & 1:
-                return tuple(sorted(chosen + (c,)))
+            row = rows[c]
+            below = barred | (reach & ((low << 1) - 1))
+            grown = reach | row
+            stack.append((chosen, reach, barred, untried ^ low, masks))
+            masks = _merge_masks(masks, row, c)
+            stack.append((chosen + (c,), grown, below, grown & ~below, masks))
     return None
 
 

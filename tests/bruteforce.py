@@ -6,7 +6,8 @@ component oracle's canonical order is checked against: a DFS that records
 every set it meets, with a predicate per full-size set in place of the
 oracle's component masks.  ``brute_force_opt``, a whole-instance optimum
 built on it, reads the solver's own candidate universe and feasibility
-check.
+check.  ``joining_children`` is the per-frame BFS that the oracle's
+carried component masks replace.
 """
 
 from __future__ import annotations
@@ -209,6 +210,46 @@ def connects_by_bit_bfs(rows, nodes, targets) -> bool:
         pending ^= reached
         frontier |= reached
     return not pending & goal
+
+
+def joining_children(rows, nodes, targets) -> int:
+    """Bitmask of the points c for which ``nodes + [c]`` connects the targets,
+    which are among the nodes, in the unit-disk graph that ``rows`` induce.
+
+    One bit BFS per component that holds a target.  When the targets share a
+    component, every point joins them (-1, all bits set); otherwise a point
+    joins them iff it touches each of those components, i.e. iff its bit is
+    in the AND, over them, of the OR of their members' rows.
+    """
+    pending = 0
+    for v in nodes:
+        pending |= 1 << v
+    goal = 0
+    for t in targets:
+        goal |= 1 << t
+    touches = []
+    while goal:
+        frontier = goal & -goal
+        pending ^= frontier
+        component = frontier
+        touch = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            row = rows[low.bit_length() - 1]
+            touch |= row
+            reached = row & pending
+            pending ^= reached
+            frontier |= reached
+            component |= reached
+        goal &= ~component
+        touches.append(touch)
+    if len(touches) == 1:
+        return -1
+    joins = touches[0]
+    for touch in touches[1:]:
+        joins &= touch
+    return joins
 
 
 def reference_universe(terminals, depth: int, cap: int, eps: float):

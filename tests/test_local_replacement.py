@@ -257,6 +257,19 @@ def test_scheme_seven_terminals_is_pinned():
     assert sum(e.exact for e in edges) == 21
 
 
+def test_scheme_ten_terminals_is_pinned():
+    # Every 3-5 subset of ten terminals goes through the component oracle's
+    # search; leaf frames are decided by mask, not one child at a time.
+    inst = uniform_box_instance(10, 5.0, 0, "all-1")
+    res = st_msp_scheme(inst)
+    assert res.size == 3
+    assert is_feasible(inst, res.solution)
+    edges = res.hypergraph.edges
+    assert len(edges) == 627
+    assert sum(e.cost for e in edges) == 1981
+    assert sum(e.exact for e in edges) == 45
+
+
 def _sqrt3_triangle_and_far_terminal():
     # The triangle wants its one-relay 3-set; terminal 3 hangs off a bead pair.
     s3 = math.sqrt(3)

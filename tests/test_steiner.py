@@ -8,6 +8,7 @@ from bruteforce import (
     connects_by_bit_bfs,
     connects_by_union_find,
     deepening_search,
+    joining_children,
     reference_universe,
 )
 from relaysynth import steiner
@@ -396,7 +397,7 @@ def test_universe_matches_row_by_row_reference(monkeypatch, chunk, kind):
         shuffled.rows[len(shuffled.rows)]
 
     universe = build_candidate_universe(inst)
-    assert universe.points == tuple(Point.at(*xy) for xy in coords)
+    assert tuple(universe.points) == tuple(Point.at(*xy) for xy in coords)
     assert len(universe.rows) == len(coords)
     assert np.array_equal(_relation(universe), adj)
     assert universe.truncated == truncated
@@ -434,7 +435,7 @@ def test_joining_children_match_a_bit_bfs_per_child(monkeypatch):
         for _ in range(20):
             targets = rng.sample(range(inst.n), rng.randint(1, inst.n))
             nodes = targets + _random_node_set(rng, relation, rng.randint(1, 6))
-            joins = steiner._joining_children(rows, nodes, targets)
+            joins = joining_children(rows, nodes, targets)
             for c in range(len(rows)):
                 expected = connects_by_bit_bfs(rows, nodes + [c], targets)
                 assert bool(joins >> c & 1) == expected, (seed, nodes, targets, c)
@@ -443,6 +444,70 @@ def test_joining_children_match_a_bit_bfs_per_child(monkeypatch):
                     terminal_children[expected] += 1
     assert min(outcomes.values()) >= 100, outcomes
     assert min(terminal_children.values()) >= 100, terminal_children
+
+
+def test_carried_component_masks_match_a_bfs_per_frame(monkeypatch):
+    # Frames grow as the search grows them, from the targets merged one by
+    # one, each child merging the components it touches.  At every frame the
+    # AND of the masks is the reference's joins (one mask means every point
+    # joins), and the masks OR to the frame's reach.
+    frames = {"one": 0, "several": 0}
+    for seed in range(10):
+        rng = random.Random(seed)
+        inst = uniform_box_instance(5, 3.0, seed, "all-1")
+        monkeypatch.setattr(steiner, "_MAX_CANDIDATES", rng.choice((20, 40, 80)))
+        rows = build_candidate_universe(inst).rows
+        for _ in range(20):
+            targets = sorted(rng.sample(range(inst.n), rng.randint(1, inst.n)))
+            masks = []
+            for t in targets:
+                masks = steiner._merge_masks(masks, rows[t], t)
+            chosen, barred, reach = [], 0, 0
+            for t in targets:
+                reach |= rows[t]
+            untried = reach
+            for _ in range(rng.randint(1, 5)):
+                joins = -1
+                for mask in masks:
+                    joins &= mask
+                expected = joining_children(rows, targets + chosen, targets)
+                assert (-1 if len(masks) == 1 else joins) == expected, (seed, targets, chosen)
+                assert untried & joins == untried & expected
+                union = 0
+                for mask in masks:
+                    union |= mask
+                assert union == reach
+                frames["one" if len(masks) == 1 else "several"] += 1
+                if not untried:
+                    break
+                c = rng.choice([b for b in range(len(rows)) if untried >> b & 1])
+                low = 1 << c
+                barred |= reach & ((low << 1) - 1)
+                masks = steiner._merge_masks(masks, rows[c], c)
+                chosen.append(c)
+                reach |= rows[c]
+                untried = reach & ~barred
+    assert min(frames.values()) >= 100, frames
+
+
+def test_a_planar_universe_builds_points_on_read(monkeypatch):
+    # The search reads only rows; a Point is built for each point read.
+    inst = pentagon_instance()
+    coords, _ = steiner._candidate_coords(inst)
+    built = []
+    at = Point.at
+
+    def counted(*xy):
+        built.append(xy)
+        return at(*xy)
+
+    monkeypatch.setattr(Point, "at", staticmethod(counted))
+    universe = build_candidate_universe(inst)
+    assert built == []
+    assert len(universe.points) == len(coords) == len(universe.rows)
+    for i, xy in enumerate(coords):
+        assert universe.points[i] == at(*xy)
+    assert built == coords
 
 
 def _outcome(search, *args):
