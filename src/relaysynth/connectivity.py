@@ -28,10 +28,12 @@ Two engines answer that check, and the caller fixes which one runs:
   reduction, brute force).
   Pruning's relay pass needs no check: after its edge pass
   it drops exactly the isolated relays.
-- element_maxflow, one flow per demand pair, serves violated_cuts,
-  fractional_feasible and tau_star on fractional capacities, and
-  verify_feasible, so the final check of every emitted solution stays
-  independent of the lowlink pass.
+- element_maxflow serves violated_cuts, fractional_feasible and tau_star
+  on fractional capacities, and verify_feasible, so the final check of
+  every emitted solution stays independent of the lowlink pass.  It runs
+  on capacities scaled once to integers, and only for the demand pairs the
+  triangle inequality of element connectivity leaves open: a Q-node never
+  sits in the middle of a chain (see _deficiencies).
 """
 
 from __future__ import annotations
@@ -186,8 +188,10 @@ def element_maxflow(
     t: int,
     *,
     limit=None,
+    q_cap=1,
 ):
-    """Max flow between terminals where Q-nodes (except s,t) have capacity one.
+    """Max flow between terminals where Q-nodes (except s,t) have capacity
+    ``q_cap``, one unless the edge capacities come scaled.
 
     Returns (flow_value, biset).  The biset is the min cut that the last
     augmenting search, the one that fails to reach t, leaves behind: its
@@ -204,7 +208,7 @@ def element_maxflow(
     qset = set(qnodes) - {s, t}
 
     total = sum(c for c in edge_caps.values())
-    inf_cap = total + len(qset) + 1
+    inf_cap = total + len(qset) * q_cap + 1
 
     nn = 2 * len(idx)  # even = in-copy, odd = out-copy
     cap: List[Dict[int, object]] = [dict() for _ in range(nn)]
@@ -214,7 +218,7 @@ def element_maxflow(
         cap[v].setdefault(u, 0)
 
     for v, i in idx.items():
-        add(2 * i, 2 * i + 1, 1 if v in qset else inf_cap)
+        add(2 * i, 2 * i + 1, q_cap if v in qset else inf_cap)
     for (a, b), c in edge_caps.items():
         if c <= 0:
             continue
@@ -265,16 +269,53 @@ def element_maxflow(
 def _deficiencies(instance: Instance, caps, q) -> Iterator[DemandViolation]:
     """Unmet demands in order, each with its Menger cut.
 
-    One element flow per demand pair, capped at the demand r.  A flow that
+    An element flow capped at the demand r decides a pair.  A flow that
     stops below r ends with a search that finds no augmenting path, so it is
     maximum and it returns the min cut that search reached; a flow that
     reaches r returns no cut.  Each Q-node on the boundary of that cut costs
     one, so for r <= 2 the witness has at most one boundary node.
+
+    Pairs the triangle inequality decides run no flow: for j outside Q,
+    kappa(i, k) >= min(kappa(i, j), kappa(j, k)), since a smaller element
+    cut for (i, k) keeps j and so separates i from j or j from k.  Per level
+    1 and 2, flows join outside-Q terminals in a union-find class, and each
+    Q terminal keeps the outside-Q terminals it reaches.  A Q terminal never
+    joins a class: i and k each tied to a Q-node u by two parallel edges
+    have kappa(i, u) = kappa(u, k) = 2 but kappa(i, k) = 1.  Only pairs shown
+    to meet r are skipped, so the violations, their flows and their cuts are
+    those of one flow per pair.
+
+    The capacities are scaled once to integers by the lcm D of their
+    denominators, and each flow runs with Q-node capacity D and limit r * D:
+    no comparison of the search changes, so neither does any path or cut.
     """
+    scale = 1
+    for c in caps.values():
+        if not isinstance(c, (int, Fraction)):
+            raise ConnectivityError("capacity %r is neither an int nor a Fraction" % (c,))
+        scale = math.lcm(scale, c.denominator)
+    caps = {e: int(c * scale) for e, c in caps.items()}
+    joined = {1: UnionFind(), 2: UnionFind()}
+    reaches: Dict[int, Dict[int, Set[int]]] = {1: {}, 2: {}}
+
+    def classes(v, level):
+        if v in q:
+            return {joined[level].find(w) for w in reaches[level].get(v, ())}
+        return {joined[level].find(v)}
+
     for (i, j, r) in instance.demand_pairs():
-        flow, biset = element_maxflow(caps, q, i, j, limit=r)
+        if classes(i, r) & classes(j, r):
+            continue
+        flow, biset = element_maxflow(caps, q, i, j, limit=r * scale, q_cap=scale)
+        for level in range(1, min(flow // scale, 2) + 1):
+            if i not in q and j not in q:
+                joined[level].union(i, j)
+            elif j not in q:
+                reaches[level].setdefault(i, set()).add(j)
+            elif i not in q:
+                reaches[level].setdefault(j, set()).add(i)
         if biset is not None:
-            yield DemandViolation((i, j), r, flow, biset)
+            yield DemandViolation((i, j), r, Fraction(flow, scale) if scale > 1 else flow, biset)
 
 
 def _multiplicities(caps, nodes) -> Dict[int, Dict[int, int]]:
@@ -368,9 +409,9 @@ def _graph_elements(solution: SolutionGraph):
 def verify_feasible(instance: Instance, solution: SolutionGraph) -> List[DemandViolation]:
     """Empty list iff every demand is met with B-and-Steiner disjoint paths.
 
-    Runs the element max-flow of every demand, not the lowlink pass that
-    is_feasible shares with the search, so the final check of an emitted
-    solution stays independent of the fast path.
+    Runs element max-flows, skipping the demands the triangle inequality
+    decides, not the lowlink pass that is_feasible shares with the search,
+    so the final check of an emitted solution stays independent of it.
     """
     return list(_deficiencies(instance, *_graph_elements(solution)))
 

@@ -1,13 +1,14 @@
 """Independent oracles used by the tests; no imports from the solver paths
 they check beyond plain data types.
 
-Two exceptions: ``deepening_search`` is the seen-set search that the
+Exceptions: ``deepening_search`` is the seen-set search that the
 component oracle's canonical order is checked against: a DFS that records
 every set it meets, with a predicate per full-size set in place of the
 oracle's component masks.  ``brute_force_opt``, a whole-instance optimum
 built on it, reads the solver's own candidate universe and feasibility
 check.  ``joining_children`` is the per-frame BFS that the oracle's
-carried component masks replace.
+carried component masks replace.  ``per_pair_deficiencies`` runs the
+solver's element flow once per demand pair on the capacities as given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from relaysynth.connectivity import UnionFind, is_feasible
+from relaysynth.connectivity import DemandViolation, UnionFind, element_maxflow, is_feasible
 from relaysynth.instances import SolutionGraph
 from relaysynth import steiner
 from relaysynth.steiner import OracleBudgetError, build_candidate_universe
@@ -85,6 +86,20 @@ def brute_q_connectivity(edges, q, u: int, v: int) -> int:
 
     rec(0, frozenset(), frozenset(), 0)
     return best[0]
+
+
+def per_pair_deficiencies(instance, caps, q) -> List[DemandViolation]:
+    """The unmet demands of the capacities ``caps`` with Q-nodes ``q``, in
+    order: one element flow per demand pair, capped at its demand, with no
+    pair skipped and no scaling.  The reference for connectivity's
+    _deficiencies, which skips the pairs the triangle inequality decides and
+    runs its flows on integers."""
+    found = []
+    for (i, j, r) in instance.demand_pairs():
+        flow, biset = element_maxflow(caps, q, i, j, limit=r)
+        if biset is not None:
+            found.append(DemandViolation((i, j), r, flow, biset))
+    return found
 
 
 def brute_min_purchase(n: int, demands, unstable, bead_cost) -> int:

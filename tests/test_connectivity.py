@@ -12,6 +12,7 @@ from relaysynth.connectivity import (
     Biset,
     ConnectivityError,
     CopyGraph,
+    DemandViolation,
     _deficiencies,
     _unit_deficiencies,
     FractionalBeadSolution,
@@ -40,7 +41,12 @@ from relaysynth.instances import (
     make_instance,
 )
 
-from bruteforce import brute_q_connectivity, edge_multiplicities, prune_by_rechecks
+from bruteforce import (
+    brute_q_connectivity,
+    edge_multiplicities,
+    per_pair_deficiencies,
+    prune_by_rechecks,
+)
 
 E2 = MetricSpace.euclidean(2)
 
@@ -421,6 +427,101 @@ def test_is_feasible_matches_flow_check():
         assert feasible == (not verify_feasible(inst, sol))
         verdicts.add(feasible)
     assert verdicts == {True, False}
+
+
+def _random_fractional_caps(rng):
+    """Seeded terminals (some unstable), demands 0-2 and Fraction pair
+    capacities over the denominators 1, 2, 3, 4 and 6."""
+    n = rng.randint(3, 8)
+    pts = [Point.at(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(n)]
+    demands = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = rng.choice((0, 1, 2, 2))
+            if r:
+                demands[(i, j)] = r
+    unstable = [v for v in range(n) if rng.random() < 0.4]
+    inst = make_instance(pts, demands or {(0, n - 1): 2}, E2, unstable=unstable)
+    density = rng.choice((0.4, 0.7, 1.0))
+    caps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                den = rng.choice((1, 2, 3, 4, 6))
+                caps[(i, j)] = Fraction(rng.randint(0, 2 * den), den)
+    return inst, caps
+
+
+def test_deficiencies_match_the_per_pair_loop(monkeypatch):
+    # Skipping the pairs the triangle inequality decides and scaling the
+    # capacities to integers must leave every violation as one flow per
+    # pair finds it: pair, demand, flow and cut, in order.
+    flows = []
+    maxflow = relaysynth.connectivity.element_maxflow
+
+    def counted(*args, **kwargs):
+        flows.append(args[2:4])
+        return maxflow(*args, **kwargs)
+
+    monkeypatch.setattr(relaysynth.connectivity, "element_maxflow", counted)
+    rng = random.Random(5003)
+    seen = {"caps": [0, 0], "graph": [0, 0]}  # cases with a skip, with a violation
+    for case in range(2000):
+        flows.clear()
+        if case % 2:
+            kind = "graph"
+            inst, sol = _random_solution(rng)
+            found = verify_feasible(inst, sol)
+            expected = per_pair_deficiencies(inst, dict.fromkeys(sol.edges, 1), sol.q_nodes())
+        else:
+            kind = "caps"
+            inst, caps = _random_fractional_caps(rng)
+            found = list(violated_cuts(inst, caps))
+            expected = per_pair_deficiencies(inst, caps, inst.unstable)
+        assert found == expected
+        seen[kind][0] += len(flows) < len(inst.demand_pairs())
+        seen[kind][1] += bool(found)
+    assert all(skips >= 100 and violated >= 100 for skips, violated in seen.values())
+
+
+def test_a_q_node_never_sits_in_the_middle_of_a_chain():
+    # Terminals 1 and 2 each reach unstable terminal 0 by two disjoint
+    # routes, so kappa(1, 0) = kappa(0, 2) = 2, but 0 separates 1 from 2:
+    # the pair (1, 2) must run its flow and fail with 0 on the boundary.
+    pts = [Point.at(0, 0), Point.at(-1.6, 0), Point.at(1.6, 0)]
+    inst = make_instance(pts, all_pairs_demands(3, 2), E2, unstable=[0])
+    [cut] = violated_cuts(inst, {(0, 1): 2, (0, 2): 2})
+    assert cut == DemandViolation((1, 2), 2, 1, Biset(frozenset({1}), frozenset({0, 1})))
+
+    # The same shape as a solution graph: two relays on each side of 0.
+    relays = [Point.at(-0.8, 0.4), Point.at(-0.8, -0.4), Point.at(0.8, 0.4), Point.at(0.8, -0.4)]
+    [cut] = verify_feasible(inst, SolutionGraph.build(inst, relays))
+    inner = frozenset({1, 3, 4})
+    assert cut == DemandViolation((1, 2), 2, 1, Biset(inner, inner | {0}))
+
+
+def test_scaled_flow_is_the_fraction_flow_times_the_scale():
+    # Capacities times the lcm D of their denominators, Q-nodes of capacity
+    # D and the limit r * D give D times the Fraction flow and the same cut,
+    # also when one augmenting path carries the flow from below r past it.
+    rng = random.Random(6007)
+    overshoots = 0
+    for _ in range(300):
+        inst, caps = _random_fractional_caps(rng)
+        scale = math.lcm(*(c.denominator for c in caps.values()))
+        scaled = {e: int(c * scale) for e, c in caps.items()}
+        for (s, t, r) in inst.demand_pairs():
+            flow, cut = element_maxflow(caps, inst.unstable, s, t, limit=r)
+            got = element_maxflow(scaled, inst.unstable, s, t, limit=r * scale, q_cap=scale)
+            assert got == (flow * scale, cut)
+            overshoots += flow > r
+    assert overshoots >= 500
+
+
+def test_deficiencies_reject_a_float_capacity():
+    inst = make_instance([Point.at(0, 0), Point.at(0.5, 0)], {(0, 1): 1}, E2)
+    with pytest.raises(ConnectivityError):
+        list(violated_cuts(inst, {(0, 1): 0.5}))
 
 
 def test_prune_output_is_critical_under_flow_check():

@@ -11,8 +11,8 @@ from bruteforce import (
     joining_children,
     reference_universe,
 )
-from relaysynth import steiner
-from relaysynth.connectivity import is_feasible
+from relaysynth import connectivity, steiner
+from relaysynth.connectivity import is_feasible, verify_feasible
 from relaysynth.generators import uniform_box_instance
 from relaysynth.instances import (
     EPS_GEO,
@@ -78,6 +78,24 @@ def test_mst_baseline_rejects_partial_demands():
     inst2 = make_instance([Point.at(0, 0), Point.at(1, 0)], {(0, 1): 2}, E2)
     with pytest.raises(InstanceError):
         mst_baseline(inst2)
+
+
+def test_mst_check_runs_one_flow_per_tree_edge(monkeypatch):
+    # With all-1 demands over stable terminals, every flow of mst_baseline's
+    # check joins its pair, so n - 1 flows decide all n(n - 1)/2 demands.
+    inst = uniform_box_instance(200, 30 * math.sqrt(0.5), 0, "all-1")
+    flows = []
+    maxflow = connectivity.element_maxflow
+
+    def counted(*args, **kwargs):
+        flows.append(args[2:4])
+        return maxflow(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "element_maxflow", counted)
+    sol = mst_baseline(inst)
+    assert len(sol.steiner) == 95 and sol.edges
+    assert len(flows) == 199
+    assert verify_feasible(inst, sol) == []
 
 
 def test_oracle_pair_distance_three():
